@@ -42,8 +42,7 @@ pub struct Row {
     pub pass2_wall_ms: f64,
     /// Wall ms of the partition phase alone, run-scatter kernel.
     pub partition_wall_ms: f64,
-    /// Wall ms of the partition phase alone, radix-sort fallback — the
-    /// before/after pair the tentpole speedup claim is measured on.
+    /// Wall ms of the partition phase alone, radix-sort reference kernel.
     pub partition_radix_wall_ms: f64,
     /// Wall ms of the convert phase alone (run-derived indexes + typed
     /// conversion of every column).

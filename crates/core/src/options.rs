@@ -127,8 +127,9 @@ pub enum PartitionKernel {
     #[default]
     RunScatter,
     /// The paper's original stable LSD radix sort over per-symbol column
-    /// tags — `passes × n × (key + payload)` bytes of sorted traffic.
-    /// Kept for equivalence tests and ablations.
+    /// tags (expanded from the field runs) — `passes × n × (key +
+    /// payload)` bytes of sorted traffic. Kept as the reference for
+    /// equivalence tests and ablations.
     RadixSort,
 }
 

@@ -1,29 +1,30 @@
 //! Partitioning symbols by column (paper §3.3).
 //!
-//! Two kernels produce each column's *concatenated symbol string* (CSS):
+//! Two kernels produce each column's *concatenated symbol string* (CSS)
+//! and its column-grouped field runs:
 //!
-//! * **run scatter** (default) — the tag phase's per-field runs fully
+//! * **run scatter** (default) — the tag phase's field runs fully
 //!   determine every symbol's destination: a per-column histogram over
 //!   run lengths plus an exclusive prefix scan yields the CSS offsets,
 //!   then whole fields move with one `copy_from_slice` each. One O(n)
-//!   pass of contiguous memcpy; the per-symbol payloads (record tags,
-//!   delimiter flags) are materialised per-run only in the modes that
-//!   need them, preserving the Figure 11 mode-traffic ordering.
-//! * **radix sort** — the paper's original formulation: a stable LSD
-//!   radix sort on the column tags, `passes × n × (key + payload)` bytes
-//!   of sorted traffic. Kept as [`crate::options::PartitionKernel`]
-//!   fallback for equivalence tests and ablations.
+//!   pass of contiguous memcpy and no per-symbol payload.
+//! * **radix sort** — the paper's original formulation, kept as the
+//!   reference kernel ([`crate::options::PartitionKernel::RadixSort`]):
+//!   per-symbol column tags (and record tags in record-tagged mode) are
+//!   expanded from the runs and a stable LSD radix sort on the column
+//!   tags moves the symbols, `passes × n × (key + payload)` bytes of
+//!   sorted traffic.
 //!
 //! Stability of the run scatter comes from the same *(column-major,
 //! worker-minor)* scan ordering the radix scatter uses: worker `w`'s runs
 //! of column `c` land directly after worker `w-1`'s runs of the same
 //! column, so fields keep their input order within each column.
 
-use crate::options::PartitionKernel;
+use crate::options::{PartitionKernel, TaggingMode};
 use crate::tagging::{FieldRun, Tagged, RUN_BYTES};
 use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::{exclusive_scan_seq, AddOp};
-use parparaw_parallel::{histogram, radix, KernelExecutor, LaunchError};
+use parparaw_parallel::{histogram, radix, BufferArena, KernelExecutor, LaunchError};
 
 /// A column's field runs after partitioning: grouped by column, input
 /// order within each column, `start` rebased to the column's CSS.
@@ -42,17 +43,13 @@ pub struct Partitioned {
     /// Symbols grouped by column (CSS of column `c` =
     /// `symbols[col_starts[c]..col_starts[c+1]]`).
     pub symbols: Vec<u8>,
-    /// Record tag per symbol (record-tagged mode only, parallel to
-    /// `symbols`).
+    /// Record tag per symbol, parallel to `symbols`: the radix
+    /// reference's sort payload in record-tagged mode; empty otherwise.
     pub rec_tags: Vec<u32>,
-    /// Delimiter flags (vector-delimited mode only, parallel to
-    /// `symbols`).
-    pub delim_flags: Option<Vec<bool>>,
     /// Start offset of each column's CSS; length `num_columns + 1`.
     pub col_starts: Vec<u64>,
-    /// Column-grouped field runs (run-scatter kernel only; `None` from
-    /// the radix fallback, which sends convert down the per-byte index
-    /// scans instead).
+    /// Column-grouped field runs, the CSS index's input. Both kernels
+    /// emit them, so this is always `Some`.
     pub runs: Option<ColumnRuns>,
 }
 
@@ -60,11 +57,10 @@ pub struct Partitioned {
 /// `partition` launch, using the default run-scatter kernel.
 ///
 /// The consumed tag buffers go back to the executor's arena (so the next
-/// pipeline run's `tag` launch reuses them) and the output symbol/tag
-/// arrays come from it (labels `partition/symbols`, `partition/rec-tags`,
-/// `partition/runs`). The pipeline puts those outputs back once the
-/// convert phase has consumed the CSSs, closing the reuse cycle across
-/// streaming runs.
+/// pipeline run's `tag` launch reuses them) and the output arrays come
+/// from it (labels `partition/symbols`, `partition/runs`). The pipeline
+/// puts those outputs back once the convert phase has consumed the CSSs,
+/// closing the reuse cycle across streaming runs.
 pub fn partition_by_column(
     exec: &KernelExecutor,
     tagged: Tagged,
@@ -98,8 +94,6 @@ fn partition_run_scatter(
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
     let num_runs = tagged.runs.len();
-    let want_rec_tags = !tagged.rec_tags.is_empty();
-    let want_flags = tagged.delim_flags.is_some();
 
     // `launch_once` because the scatter consumes the tagged buffers;
     // injected faults (which fire before the job body runs) still retry.
@@ -108,23 +102,27 @@ fn partition_run_scatter(
         let in_runs = &tagged.runs;
 
         // (1) Per-worker local histograms over the runs: run count and
-        // symbol count per column.
+        // symbol count per column, plus the runs' `chunks` for the cost
+        // model.
         let parts = grid.partition(num_runs);
         let num_workers = parts.len().max(1);
-        let mut locals: Vec<(Vec<u64>, Vec<u64>)> =
-            vec![(vec![0u64; num_columns], vec![0u64; num_columns]); num_workers];
+        let mut locals: Vec<(Vec<u64>, Vec<u64>, u64)> =
+            vec![(vec![0u64; num_columns], vec![0u64; num_columns], 0); num_workers];
         {
             let lw = SlotWriter::new(&mut locals);
             grid.run_partitioned(num_runs, |w, range| {
                 let mut run_hist = vec![0u64; num_columns];
                 let mut sym_hist = vec![0u64; num_columns];
+                let mut chunk_runs = 0u64;
                 for i in range {
                     grid.check_abort(i);
                     let r = &in_runs[i];
                     run_hist[r.col as usize] += 1;
                     sym_hist[r.col as usize] += r.len;
+                    chunk_runs += u64::from(r.chunks);
                 }
-                unsafe { lw.write(w, (run_hist, sym_hist)) };
+                // SAFETY: one slot per worker id, written by that worker only.
+                unsafe { lw.write(w, (run_hist, sym_hist, chunk_runs)) };
             });
         }
 
@@ -153,31 +151,15 @@ fn partition_run_scatter(
         debug_assert_eq!(run_running as usize, num_runs);
 
         // (3) Stable scatter: each worker walks its contiguous run range
-        // in order, moving whole fields with one memcpy each and
-        // materialising the per-symbol payloads only where the mode
-        // needs them.
+        // in order, moving whole fields with one memcpy each.
         let mut symbols = arena.take_u8("partition/symbols");
         symbols.resize(n, 0);
-        let mut rec_tags = arena.take_u32("partition/rec-tags");
-        rec_tags.resize(if want_rec_tags { n } else { 0 }, 0);
-        let mut flags_out = vec![false; if want_flags { n } else { 0 }];
-        let empty_run = FieldRun {
-            col: 0,
-            row: 0,
-            start: 0,
-            len: 0,
-            closed: false,
-        };
         let mut out_runs = arena.take_vec::<FieldRun>("partition/runs");
-        out_runs.clear();
-        out_runs.resize(num_runs, empty_run);
+        out_runs.resize(num_runs, FieldRun::default());
         {
             let sym_w = SlotWriter::new(&mut symbols);
-            let rt_w = SlotWriter::new(&mut rec_tags);
-            let fl_w = SlotWriter::new(&mut flags_out);
             let run_w = SlotWriter::new(&mut out_runs);
             let in_syms = &tagged.symbols[..];
-            let in_flags = tagged.delim_flags.as_deref();
             let col_starts = &col_starts[..];
             grid.run_partitioned(num_runs, |w, range| {
                 let mut sym_cur = sym_cursors[w].clone();
@@ -189,14 +171,11 @@ fn partition_run_scatter(
                     let (src, len) = (r.start as usize, r.len as usize);
                     let dst = sym_cur[c] as usize;
                     sym_cur[c] += r.len;
+                    // SAFETY: the scans give each (worker, column) its own
+                    // disjoint symbol and run ranges, sized by the
+                    // histogram of exactly these runs.
                     unsafe {
                         sym_w.write_slice(dst, &in_syms[src..src + len]);
-                        if want_rec_tags {
-                            rt_w.write_fill(dst, len, r.row);
-                        }
-                        if let Some(f) = in_flags {
-                            fl_w.write_slice(dst, &f[src..src + len]);
-                        }
                         run_w.write(
                             run_cur[c] as usize,
                             FieldRun {
@@ -210,31 +189,30 @@ fn partition_run_scatter(
             });
         }
 
-        // Return the consumed tag buffers to the arena.
-        arena.put_u8("tag/symbols", tagged.symbols);
-        arena.put_u32("tag/col-tags", tagged.col_tags);
-        arena.put_u32("tag/rec-tags", tagged.rec_tags);
-        arena.put_vec("tag/runs", tagged.runs);
-
-        // Work counters — everything the kernel actually touches,
-        // including the (previously uncounted) histogram and prefix-scan
-        // work. Per symbol: the CSS byte both ways, plus the record tag
-        // (tagged mode) or delimiter flag (vector mode) — the mode
-        // traffic Figure 11 ranks. Per run: the run metadata through the
-        // histogram and scatter passes. The scans are serial.
-        let per_symbol: u64 = 1 + if want_rec_tags { 4 } else { 0 } + u64::from(want_flags);
-        let scan_cells = (num_workers * num_columns) as u64 * 2 + (num_columns + 1) as u64 * 2;
+        // Work counters model the paper's kernel, not this code: per
+        // symbol the CSS byte both ways plus the record tag (tagged mode)
+        // or delimiter flag (vector mode) — the mode traffic Figure 11
+        // ranks; per run of a per-chunk tag kernel (`FieldRun::chunks`)
+        // the run metadata through the histogram and scatter passes. The
+        // scans are serial.
+        let chunk_runs: u64 = locals.iter().map(|l| l.2).sum();
+        let model_workers = grid.workers().min((chunk_runs as usize).max(1));
+        let per_symbol: u64 = 1 + match tagged.mode {
+            TaggingMode::RecordTagged => 4,
+            TaggingMode::InlineTerminated { .. } => 0,
+            TaggingMode::VectorDelimited => 1,
+        };
+        let scan_cells = (model_workers * num_columns) as u64 * 2 + (num_columns + 1) as u64 * 2;
         counters.kernel_launches = 2; // histogram + scatter
-        counters.bytes_read = n as u64 * per_symbol + 2 * num_runs as u64 * RUN_BYTES;
-        counters.bytes_written =
-            n as u64 * per_symbol + num_runs as u64 * RUN_BYTES + scan_cells * 8;
-        counters.parallel_ops = 2 * num_runs as u64 + n as u64;
+        counters.bytes_read = n as u64 * per_symbol + 2 * chunk_runs * RUN_BYTES;
+        counters.bytes_written = n as u64 * per_symbol + chunk_runs * RUN_BYTES + scan_cells * 8;
+        counters.parallel_ops = 2 * chunk_runs + n as u64;
         counters.serial_ops = scan_cells;
 
+        return_tag_buffers(arena, tagged);
         Partitioned {
             symbols,
-            rec_tags,
-            delim_flags: want_flags.then_some(flags_out),
+            rec_tags: Vec::new(),
             col_starts,
             runs: Some(ColumnRuns {
                 runs: out_runs,
@@ -244,7 +222,10 @@ fn partition_run_scatter(
     })
 }
 
-/// The paper's original stable LSD radix sort on the column tags.
+/// The paper's original stable LSD radix sort on per-symbol column tags,
+/// kept as the reference kernel. Keys (and, in record-tagged mode, the
+/// record-tag payload) are expanded from the runs; the column-grouped
+/// runs are the input runs stably ordered by column.
 fn partition_radix_sort(
     exec: &KernelExecutor,
     tagged: Tagged,
@@ -255,95 +236,75 @@ fn partition_radix_sort(
     let max_key = (num_columns - 1) as u32;
     let digit_bits = 8u32;
     let passes = (32 - max_key.leading_zeros()).div_ceil(digit_bits).max(1);
+    let record_tagged = tagged.mode == TaggingMode::RecordTagged;
 
     // `launch_once` because the sort consumes the tagged buffers; injected
     // faults (which fire before the job body runs) still retry.
     exec.launch_once("partition", n, |grid, counters| {
+        let arena = exec.arena();
+        let expand = |label: &str, tag: fn(&FieldRun) -> u32| {
+            let mut out = arena.take_u32(label);
+            for r in &tagged.runs {
+                out.extend(std::iter::repeat_n(tag(r), r.len as usize));
+            }
+            out
+        };
+        let mut keys = expand("partition/col-tags", |r| r.col);
+
         // The histogram over column tags gives the CSS offsets (reusing the
         // sort's histogram, as the paper notes).
-        let hist = histogram::histogram(grid, &tagged.col_tags, num_columns);
+        let hist = histogram::histogram(grid, &keys, num_columns);
         let mut col_starts = exclusive_scan_seq(&hist, &AddOp);
         col_starts.push(n as u64);
 
-        let arena = exec.arena();
-        arena.put_vec("tag/runs", tagged.runs);
-        let mode_bytes: u64;
-        let mut keys = tagged.col_tags;
-        let (symbols, rec_tags, delim_flags) =
-            match (&tagged.delim_flags, !tagged.rec_tags.is_empty()) {
-                (Some(_), _) => {
-                    // Vector-delimited: payload = (symbol, flag).
-                    // Invariant: this match arm only fires when
-                    // `delim_flags` is `Some`.
-                    let flags = tagged.delim_flags.unwrap();
-                    let mut values: Vec<(u8, bool)> = tagged
-                        .symbols
-                        .iter()
-                        .copied()
-                        .zip(flags.iter().copied())
-                        .collect();
-                    radix::sort_pairs_by_key_in(
-                        grid,
-                        arena,
-                        &mut keys,
-                        &mut values,
-                        max_key,
-                        digit_bits,
-                    );
-                    mode_bytes = 4 + 2;
-                    let mut symbols = arena.take_u8("partition/symbols");
-                    symbols.extend(values.iter().map(|v| v.0));
-                    let flags_out: Vec<bool> = values.iter().map(|v| v.1).collect();
-                    arena.put_u8("tag/symbols", tagged.symbols);
-                    arena.put_u32("tag/rec-tags", tagged.rec_tags);
-                    (symbols, Vec::new(), Some(flags_out))
-                }
-                (None, true) => {
-                    // Record-tagged: payload = (symbol, record tag).
-                    let mut values: Vec<(u8, u32)> = tagged
-                        .symbols
-                        .iter()
-                        .copied()
-                        .zip(tagged.rec_tags.iter().copied())
-                        .collect();
-                    radix::sort_pairs_by_key_in(
-                        grid,
-                        arena,
-                        &mut keys,
-                        &mut values,
-                        max_key,
-                        digit_bits,
-                    );
-                    mode_bytes = 4 + 5;
-                    let mut symbols = arena.take_u8("partition/symbols");
-                    symbols.extend(values.iter().map(|v| v.0));
-                    let mut recs = arena.take_u32("partition/rec-tags");
-                    recs.extend(values.iter().map(|v| v.1));
-                    arena.put_u8("tag/symbols", tagged.symbols);
-                    arena.put_u32("tag/rec-tags", tagged.rec_tags);
-                    (symbols, recs, None)
-                }
-                (None, false) => {
-                    // Inline-terminated: payload = symbol only.
-                    let mut values = tagged.symbols;
-                    radix::sort_pairs_by_key_in(
-                        grid,
-                        arena,
-                        &mut keys,
-                        &mut values,
-                        max_key,
-                        digit_bits,
-                    );
-                    mode_bytes = 4 + 1;
-                    arena.put_u32("tag/rec-tags", tagged.rec_tags);
-                    (values, Vec::new(), None)
-                }
-            };
-        arena.put_u32("tag/col-tags", keys);
+        let mut symbols = arena.take_u8("partition/symbols");
+        symbols.extend_from_slice(&tagged.symbols);
+        let mut rec_tags = arena.take_u32("partition/rec-tags");
+        if record_tagged {
+            let rows = expand("partition/row-tags", |r| r.row);
+            let mut values: Vec<(u8, u32)> =
+                symbols.iter().copied().zip(rows.iter().copied()).collect();
+            arena.put_u32("partition/row-tags", rows);
+            radix::sort_pairs_by_key_in(grid, arena, &mut keys, &mut values, max_key, digit_bits);
+            symbols.clear();
+            symbols.extend(values.iter().map(|v| v.0));
+            rec_tags.extend(values.iter().map(|v| v.1));
+        } else {
+            radix::sort_pairs_by_key_in(grid, arena, &mut keys, &mut symbols, max_key, digit_bits);
+        }
+        arena.put_u32("partition/col-tags", keys);
 
-        // Each pass reads and writes (key + payload) for every item, plus
-        // the column-tag histogram and the (serial) offset scan — work
-        // that previously went uncounted.
+        // Column-grouped runs: a stable counting sort of the runs by
+        // column, starts rebased to each column's CSS.
+        let mut col_run_starts = vec![0u64; num_columns + 1];
+        for r in &tagged.runs {
+            col_run_starts[r.col as usize + 1] += 1;
+        }
+        for c in 0..num_columns {
+            col_run_starts[c + 1] += col_run_starts[c];
+        }
+        let mut run_cur = col_run_starts.clone();
+        let mut css_cur = vec![0u64; num_columns];
+        let mut out_runs = vec![FieldRun::default(); tagged.runs.len()];
+        for r in &tagged.runs {
+            let c = r.col as usize;
+            out_runs[run_cur[c] as usize] = FieldRun {
+                start: css_cur[c],
+                ..*r
+            };
+            run_cur[c] += 1;
+            css_cur[c] += r.len;
+        }
+
+        // Each pass reads and writes (key + payload) for every item — the
+        // paper's mode payloads: symbol + record tag, symbol + delimiter
+        // flag, or the symbol alone — plus the column-tag histogram and
+        // the (serial) offset scan.
+        let mode_bytes: u64 = 4 + match tagged.mode {
+            TaggingMode::RecordTagged => 5,
+            TaggingMode::InlineTerminated { .. } => 1,
+            TaggingMode::VectorDelimited => 2,
+        };
         counters.kernel_launches = 3 * passes + 1;
         counters.bytes_read = passes as u64 * n as u64 * mode_bytes + n as u64 * 4;
         counters.bytes_written =
@@ -351,14 +312,24 @@ fn partition_radix_sort(
         counters.parallel_ops = passes as u64 * n as u64 * 2 + n as u64;
         counters.serial_ops = (num_columns + 1) as u64;
 
+        return_tag_buffers(arena, tagged);
         Partitioned {
             symbols,
             rec_tags,
-            delim_flags,
             col_starts,
-            runs: None,
+            runs: Some(ColumnRuns {
+                runs: out_runs,
+                col_starts: col_run_starts,
+            }),
         }
     })
+}
+
+/// Hand the consumed tag buffers back to the arena for the next `tag`
+/// launch.
+fn return_tag_buffers(arena: &BufferArena, tagged: Tagged) {
+    arena.put_u8("tag/symbols", tagged.symbols);
+    arena.put_vec("tag/runs", tagged.runs);
 }
 
 impl Partitioned {
@@ -367,23 +338,7 @@ impl Partitioned {
         &self.symbols[self.col_starts[c] as usize..self.col_starts[c + 1] as usize]
     }
 
-    /// The record tags of column `c` (record-tagged mode).
-    pub fn css_rec_tags(&self, c: usize) -> &[u32] {
-        if self.rec_tags.is_empty() {
-            &[]
-        } else {
-            &self.rec_tags[self.col_starts[c] as usize..self.col_starts[c + 1] as usize]
-        }
-    }
-
-    /// The delimiter flags of column `c` (vector-delimited mode).
-    pub fn css_flags(&self, c: usize) -> Option<&[bool]> {
-        self.delim_flags
-            .as_ref()
-            .map(|f| &f[self.col_starts[c] as usize..self.col_starts[c + 1] as usize])
-    }
-
-    /// The field runs of column `c` (run-scatter kernel only).
+    /// The field runs of column `c`.
     pub fn col_runs(&self, c: usize) -> Option<&[FieldRun]> {
         self.runs
             .as_ref()
@@ -400,8 +355,9 @@ impl Partitioned {
 mod tests {
     use super::*;
     use crate::context::determine_contexts_with;
+    use crate::css::index_from_runs;
     use crate::meta::identify_columns_and_records;
-    use crate::options::{ScanAlgorithm, TaggingMode};
+    use crate::options::ScanAlgorithm;
     use crate::tagging::{tag_symbols, TagConfig};
     use parparaw_dfa::csv::rfc4180_paper;
     use parparaw_parallel::Grid;
@@ -433,8 +389,10 @@ mod tests {
         assert_eq!(p.css(0), b"19411938");
         assert_eq!(p.css(1), b"199.9919.99");
         assert_eq!(p.css(2), b"BookcaseFrame\n\"Ribba\", black");
-        // Record tags are stable within a column.
-        assert_eq!(p.css_rec_tags(0), &[0, 0, 0, 0, 1, 1, 1, 1]);
+        // Rows stay attached to their fields within a column.
+        let index = index_from_runs(p.col_runs(0).unwrap());
+        assert_eq!(index.rows, [0, 1]);
+        assert_eq!((index.field_range(0), index.field_range(1)), (0..4, 4..8));
         assert_eq!(p.num_columns(), 3);
     }
 
@@ -445,7 +403,7 @@ mod tests {
         let p = partition_by_column(&exec, t, 2).unwrap();
         assert_eq!(p.css(0), b"0\x001\x002\x00");
         assert_eq!(p.css(1), b"Apples\0\0Pears\0");
-        assert!(p.css_rec_tags(0).is_empty());
+        assert!(p.rec_tags.is_empty());
     }
 
     #[test]
@@ -454,12 +412,14 @@ mod tests {
         let (exec, t) = tag(input, TaggingMode::VectorDelimited, 2);
         let p = partition_by_column(&exec, t, 2).unwrap();
         assert_eq!(p.css(1), b"Apples\n\nPears\n");
-        let flags = p.css_flags(1).unwrap();
-        let delim_positions: Vec<usize> = flags
+        // The paper's flag vector marks 6, 7 and 13: the closing symbol
+        // of each closed run.
+        let delim_positions: Vec<u64> = p
+            .col_runs(1)
+            .unwrap()
             .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| i)
+            .filter(|r| r.closed)
+            .map(|r| r.start + r.len - 1)
             .collect();
         assert_eq!(delim_positions, vec![6, 7, 13]);
     }
@@ -483,7 +443,7 @@ mod tests {
         assert_eq!(p.css(42), b"4242");
         assert_eq!(p.symbols, radix.symbols);
         assert_eq!(p.col_starts, radix.col_starts);
-        assert_eq!(p.rec_tags, radix.rec_tags);
+        assert_eq!(p.runs.unwrap().runs, radix.runs.unwrap().runs);
     }
 
     #[test]
@@ -516,9 +476,19 @@ mod tests {
                 partition_by_column_with(&exec, t, cols, PartitionKernel::RunScatter).unwrap();
             assert_eq!(scatter.symbols, radix.symbols, "{}", mode.name());
             assert_eq!(scatter.col_starts, radix.col_starts, "{}", mode.name());
-            assert_eq!(scatter.rec_tags, radix.rec_tags, "{}", mode.name());
-            assert_eq!(scatter.delim_flags, radix.delim_flags, "{}", mode.name());
-            assert!(scatter.runs.is_some() && radix.runs.is_none());
+            let runs = scatter.runs.unwrap().runs;
+            assert_eq!(runs, radix.runs.unwrap().runs, "{}", mode.name());
+            // The radix payload carried each symbol's record tag along:
+            // it must agree with the row of the run the symbol sits in.
+            if mode == TaggingMode::RecordTagged {
+                let mut rows = Vec::new();
+                for r in &runs {
+                    rows.extend(std::iter::repeat_n(r.row, r.len as usize));
+                }
+                assert_eq!(radix.rec_tags, rows);
+            } else {
+                assert!(radix.rec_tags.is_empty());
+            }
         }
     }
 

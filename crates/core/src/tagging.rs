@@ -1,33 +1,39 @@
 //! Tagging symbols with their record and column (paper §3.2 bottom, §4.1).
 //!
-//! Using the bitmap indexes and the resolved offsets, each chunk walks its
-//! symbols and emits, for every *relevant* symbol, the data needed by the
-//! partitioning step. What is emitted depends on the tagging mode
+//! Using the bitmap indexes and the resolved offsets, tagging compacts the
+//! *relevant* symbols and describes them at field granularity: each kept
+//! field becomes a [`FieldRun`] over the compacted symbols, carrying the
+//! field's column and record. What is emitted depends on the tagging mode
 //! (paper Fig. 6):
 //!
-//! * **record-tagged** — data symbols only, each carrying `(column-tag,
-//!   record-tag)`;
+//! * **record-tagged** — data symbols only;
 //! * **inline-terminated** — data symbols plus a terminator byte in place
-//!   of each field-ending delimiter, carrying only the column tag;
-//! * **vector-delimited** — data symbols plus the original delimiter byte
-//!   flagged in an auxiliary boolean vector.
+//!   of each field-ending delimiter, which closes the field's run;
+//! * **vector-delimited** — data symbols plus the original delimiter byte,
+//!   which closes the field's run (the paper's auxiliary flag).
 //!
 //! Tagging is also where record/column *skipping* happens (paper §4.3):
-//! symbols of skipped records or unselected columns are marked irrelevant
-//! and never emitted, and where per-record rejection (invalid transitions,
-//! wrong column count) is recorded.
+//! symbols of skipped records or unselected columns are never emitted, and
+//! where per-record rejection (invalid transitions, wrong column count) is
+//! recorded.
 //!
-//! The emission is allocation-free and parallel: a counting pass per chunk,
-//! an exclusive prefix sum over the counts, then a second pass writing
-//! straight into the global arrays — the standard GPU compaction shape.
+//! The walk is word-wise, the structural-index idiom of simdjson and Mison:
+//! the record, field, control and reject bitmaps are OR'd a `u64` at a
+//! time and `trailing_zeros` jumps from one boundary to the next, so the
+//! data between two boundaries is one span, copied with one `memcpy`. Each
+//! worker walks its whole contiguous range of chunks, so a field is split
+//! into several runs only where a worker's range ends. The emission is
+//! allocation-free and parallel: a counting walk per worker, an exclusive
+//! prefix sum over the counts, then a second walk writing straight into
+//! the arena buffers — the standard GPU compaction shape.
 
-use crate::chunks::{chunk_ranges, num_chunks};
+use crate::chunks::num_chunks;
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
 use crate::meta::MetaPass;
 use crate::options::TaggingMode;
 use parparaw_parallel::grid::SlotWriter;
-use parparaw_parallel::scan;
-use parparaw_parallel::{AtomicBitmap, Bitmap, KernelExecutor, LaunchError};
+use parparaw_parallel::{AtomicBitmap, Bitmap, Grid, KernelExecutor, LaunchError};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Static configuration for the tagging pass.
@@ -50,28 +56,17 @@ pub struct TagConfig<'a> {
     pub diags: Option<&'a DiagSink>,
 }
 
-impl TagConfig<'_> {
-    /// Output row of raw record `rec`, or `None` when skipped.
-    #[inline]
-    pub fn out_row(&self, rec: u64) -> Option<u64> {
-        match self.skip_records.binary_search(&rec) {
-            Ok(_) => None,
-            Err(rank) => Some(rec - rank as u64),
-        }
-    }
-}
-
 /// One run of consecutive emitted symbols belonging to a single field.
 ///
 /// The paper's §3.3 observation that column tags are constant across each
 /// field's symbols means the tag phase can describe its output at field
-/// granularity: every emitted symbol extends the current `(row, column)`
-/// run or opens a new one. `start` indexes the *compacted* tagged symbol
-/// array (not the raw input — control symbols such as enclosure quotes
-/// are never emitted, so a field's raw bytes need not be contiguous).
-/// A field split across chunk boundaries yields several adjacent runs
-/// with the same row, merged back by [`crate::css::index_from_runs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// granularity. `start` indexes the *compacted* tagged symbol array (not
+/// the raw input — control symbols such as enclosure quotes are never
+/// emitted, so a field's raw bytes need not be contiguous). A field that
+/// crosses the end of one worker's chunk range yields two adjacent runs
+/// with the same row, merged back by [`crate::css::index_from_runs`];
+/// chunk boundaries inside a worker's range do not split runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FieldRun {
     /// Output column tag.
     pub col: u32,
@@ -86,24 +81,22 @@ pub struct FieldRun {
     /// delimiter (inline/vector modes; the field's data excludes it).
     /// Record-tagged mode never emits delimiters, so always false there.
     pub closed: bool,
+    /// Number of chunks the run's symbols fall in: the runs the paper's
+    /// one-thread-per-chunk kernel emits for this piece of the field. The
+    /// cost model charges run traffic by it, not by this CPU code's runs.
+    pub chunks: u32,
 }
 
-/// The tagging output: the compacted symbol stream plus tags.
+/// The tagging output: the compacted symbol stream and its field runs.
 #[derive(Debug, Clone)]
 pub struct Tagged {
+    /// The mode the symbols were emitted under.
+    pub mode: TaggingMode,
     /// Relevant symbols, in input order (delimiters included in
     /// inline/vector modes, replaced by the terminator in inline mode).
     pub symbols: Vec<u8>,
-    /// Output-column tag per symbol.
-    pub col_tags: Vec<u32>,
-    /// Output-row tag per symbol (record-tagged mode only; empty
-    /// otherwise — that memory saving is the point of the other modes).
-    pub rec_tags: Vec<u32>,
-    /// Auxiliary delimiter flags (vector-delimited mode only).
-    pub delim_flags: Option<Vec<bool>>,
-    /// Per-field runs over `symbols`, in input order (all modes). One
-    /// pass of field-granular metadata that the run-scatter partition
-    /// kernel moves whole fields with.
+    /// Per-field runs tiling `symbols`, in input order — the field-granular
+    /// metadata the partition kernels and the CSS index work from.
     pub runs: Vec<FieldRun>,
     /// Per-output-row rejection flags.
     pub rejected: Bitmap,
@@ -111,24 +104,12 @@ pub struct Tagged {
     pub terminator_clash: bool,
 }
 
-/// Destination writers for one chunk's emission: symbols, column tags,
-/// optional row tags, optional delimiter flags, the field-run array, and
-/// the chunk's base offsets into the symbol and run arrays.
-type EmitSinks<'a> = (
-    &'a SlotWriter<'a, u8>,
-    &'a SlotWriter<'a, u32>,
-    Option<&'a SlotWriter<'a, u32>>,
-    Option<&'a SlotWriter<'a, bool>>,
-    &'a SlotWriter<'a, FieldRun>,
-    usize,
-    usize,
-);
-
-/// Run the two-pass tagging kernel as one instrumented `tag` launch.
+/// Run the word-wise tagging kernel as one instrumented `tag` launch.
 ///
-/// The symbol/tag arrays come from the executor's arena (labels
-/// `tag/symbols`, `tag/col-tags`, `tag/rec-tags`), so repeated runs on one
-/// executor — the streaming path — reuse their allocations.
+/// The symbol and run arrays come from the executor's arena (labels
+/// `tag/symbols`, `tag/runs`), and the partition phase returns them
+/// there, so repeated runs on one executor — the streaming path — reuse
+/// their allocations.
 pub fn tag_symbols(
     exec: &KernelExecutor,
     input: &[u8],
@@ -137,225 +118,91 @@ pub fn tag_symbols(
     cfg: &TagConfig<'_>,
 ) -> Result<Tagged, LaunchError> {
     let n = input.len();
-    let n_chunks = num_chunks(n, chunk_size);
-    let ranges: Vec<std::ops::Range<usize>> = chunk_ranges(n, chunk_size).collect();
-    let include_delims = !matches!(cfg.mode, TaggingMode::RecordTagged);
-    let terminator = match cfg.mode {
-        TaggingMode::InlineTerminated { terminator } => Some(terminator),
-        _ => None,
-    };
-
+    let cs = chunk_size.max(1);
+    let n_chunks = num_chunks(n, cs);
     let rejected = AtomicBitmap::new(cfg.num_out_rows as usize);
     let clash = AtomicBool::new(false);
 
-    // Shared chunk walker: every relevant symbol is written through the
-    // sinks (pass B) or merely counted (pass A), and simultaneously
-    // extends or opens the current field run. Returns the chunk's
-    // (symbol, run) emission counts.
-    let walk = |c: usize, emit: Option<EmitSinks<'_>>, mark: bool| -> (u64, u64) {
-        let mut rec = meta.record_offsets[c];
-        let mut col = meta.col_offsets[c];
-        let mut count = 0u64;
-        let mut cur_run: Option<FieldRun> = None;
-        let mut runs_flushed = 0u64;
-        for i in ranges[c].clone() {
-            let b = input[i];
-            let is_rec = meta.records.get(i);
-            let is_fld = !is_rec && meta.fields.get(i);
-            if mark && meta.rejects.get(i) {
-                // A control-only trailing segment (say a stray \r after the
-                // last newline) can carry reject bits without forming a
-                // trailing record; there is no output row to attach them to.
-                if let Some(r) = cfg.out_row(rec).filter(|&r| r < cfg.num_out_rows) {
-                    rejected.set(r as usize);
-                    if let Some(sink) = cfg.diags {
-                        sink.push(RecordDiagnostic {
-                            record: r,
-                            column: map_col(cfg.col_map, col),
-                            byte_offset: Some(i as u64),
-                            reason: RejectReason::InvalidSyntax,
-                        });
-                    }
-                }
-            }
-            if is_rec || is_fld {
-                // The delimiter ends the field at (rec, col).
-                if include_delims {
-                    if let Some((r, oc)) = cfg.out_row(rec).zip(map_col(cfg.col_map, col)) {
-                        if let Some((sym, ct, rt, fl, _, base, _)) = emit.as_ref() {
-                            let dst = *base + count as usize;
-                            let byte_out = terminator.unwrap_or(b);
-                            unsafe {
-                                sym.write(dst, byte_out);
-                                ct.write(dst, oc);
-                                if let Some(rt) = rt {
-                                    rt.write(dst, r as u32);
-                                }
-                                if let Some(fl) = fl {
-                                    fl.write(dst, true);
-                                }
-                            }
-                        }
-                        track_run(
-                            &mut cur_run,
-                            &mut runs_flushed,
-                            emit.as_ref(),
-                            oc,
-                            r as u32,
-                            count,
-                            true,
-                        );
-                        count += 1;
-                    }
-                }
-                if is_rec {
-                    if mark {
-                        if let (Some(expect), Some(r)) = (cfg.expected_columns, cfg.out_row(rec)) {
-                            if col + 1 != expect {
-                                rejected.set(r as usize);
-                                if let Some(sink) = cfg.diags {
-                                    sink.push(RecordDiagnostic {
-                                        record: r,
-                                        column: None,
-                                        byte_offset: Some(i as u64),
-                                        reason: RejectReason::ColumnCountMismatch {
-                                            expected: expect,
-                                            got: col + 1,
-                                        },
-                                    });
-                                }
-                            }
-                        }
-                    }
-                    rec += 1;
-                    col = 0;
-                } else {
-                    col += 1;
-                }
-            } else if meta.control.get(i) {
-                // Syntax, not data: never emitted.
-            } else {
-                // Data symbol.
-                if mark {
-                    if let Some(t) = terminator {
-                        if b == t {
-                            clash.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-                let kept = cfg.out_row(rec).zip(map_col(cfg.col_map, col));
-                if let Some((r, oc)) = kept {
-                    if let Some((sym, ct, rt, fl, _, base, _)) = emit.as_ref() {
-                        let dst = *base + count as usize;
-                        unsafe {
-                            sym.write(dst, b);
-                            ct.write(dst, oc);
-                            if let Some(rt) = rt {
-                                rt.write(dst, r as u32);
-                            }
-                            if let Some(fl) = fl {
-                                fl.write(dst, false);
-                            }
-                        }
-                    }
-                    track_run(
-                        &mut cur_run,
-                        &mut runs_flushed,
-                        emit.as_ref(),
-                        oc,
-                        r as u32,
-                        count,
-                        false,
-                    );
-                    count += 1;
-                }
-            }
-        }
-        flush_run(&mut cur_run, &mut runs_flushed, emit.as_ref());
-        (count, runs_flushed)
-    };
-
-    let want_rec_tags = matches!(cfg.mode, TaggingMode::RecordTagged);
-    let want_flags = matches!(cfg.mode, TaggingMode::VectorDelimited);
-
-    let (symbols, col_tags, rec_tags, flags, runs) =
-        exec.launch("tag", n_chunks, |grid, counters| {
-            // Pass A: count symbol and run emissions (and mark rejects /
-            // clashes once).
-            let counts: Vec<(u64, u64)> = grid.map_indexed(n_chunks, |c| walk(c, None, true));
-            let sym_counts: Vec<u64> = counts.iter().map(|c| c.0).collect();
-            let run_counts: Vec<u64> = counts.iter().map(|c| c.1).collect();
-            let (offsets, total) = scan::exclusive_scan_total(grid, &sym_counts, &scan::AddOp);
-            let (run_offsets, runs_total) =
-                scan::exclusive_scan_total(grid, &run_counts, &scan::AddOp);
-            let total = total as usize;
-            let runs_total = runs_total as usize;
-
-            // Pass B: emit into pre-sized arena-backed arrays.
-            let arena = exec.arena();
-            let mut symbols = arena.take_u8("tag/symbols");
-            symbols.resize(total, 0);
-            let mut col_tags = arena.take_u32("tag/col-tags");
-            col_tags.resize(total, 0);
-            let mut rec_tags = arena.take_u32("tag/rec-tags");
-            rec_tags.resize(if want_rec_tags { total } else { 0 }, 0);
-            let mut flags = vec![false; if want_flags { total } else { 0 }];
-            let empty_run = FieldRun {
-                col: 0,
-                row: 0,
-                start: 0,
-                len: 0,
-                closed: false,
+    let (symbols, runs) = exec.launch("tag", n_chunks, |grid, counters| {
+        // Walk A: count each worker range's symbols and runs, marking
+        // rejects and terminator clashes once.
+        let mut counts = vec![Emitted::default(); grid.partition(n_chunks).len()];
+        {
+            let count_w = SlotWriter::new(&mut counts);
+            let marks = Marks {
+                rejected: &rejected,
+                clash: &clash,
             };
-            let mut runs = arena.take_vec::<FieldRun>("tag/runs");
-            runs.clear();
-            runs.resize(runs_total, empty_run);
-            {
-                let sym_w = SlotWriter::new(&mut symbols);
-                let ct_w = SlotWriter::new(&mut col_tags);
-                let rt_w = SlotWriter::new(&mut rec_tags);
-                let fl_w = SlotWriter::new(&mut flags);
-                let run_w = SlotWriter::new(&mut runs);
-                grid.run_partitioned(n_chunks, |_, range| {
-                    for c in range {
-                        grid.check_abort(c);
-                        let rt = want_rec_tags.then_some(&rt_w);
-                        let fl = want_flags.then_some(&fl_w);
-                        walk(
-                            c,
-                            Some((
-                                &sym_w,
-                                &ct_w,
-                                rt,
-                                fl,
-                                &run_w,
-                                offsets[c] as usize,
-                                run_offsets[c] as usize,
-                            )),
-                            false,
-                        );
-                    }
-                });
-            }
+            grid.run_partitioned(n_chunks, |w, chunks| {
+                if chunks.is_empty() {
+                    return;
+                }
+                let e = Walker::start(input, meta, cfg, cs, chunks.start, None, Some(&marks))
+                    .walk_chunks(grid, chunks);
+                // SAFETY: `run_partitioned` hands each worker id to exactly
+                // one worker, and `counts` has one slot per worker range.
+                unsafe { count_w.write(w, e) };
+            });
+        }
 
-            // Work counters: two passes over the input plus the emission
-            // writes (symbols, tags, and the field-run metadata).
-            let per_symbol_out =
-                1 + 4 + if want_rec_tags { 4 } else { 0 } + if want_flags { 1 } else { 0 };
-            counters.kernel_launches = 2;
-            counters.bytes_read = 2 * (n as u64 + n as u64 / 2); // input + bitmaps, twice
-            counters.bytes_written =
-                total as u64 * per_symbol_out as u64 + runs_total as u64 * RUN_BYTES;
-            counters.parallel_ops = 2 * n as u64;
+        // Exclusive scan over the per-worker counts (one cell per worker).
+        let mut sym_bases = Vec::with_capacity(counts.len());
+        let mut run_bases = Vec::with_capacity(counts.len());
+        let mut total = Emitted::default();
+        for e in &counts {
+            sym_bases.push(total.symbols as usize);
+            run_bases.push(total.runs as usize);
+            total.symbols += e.symbols;
+            total.runs += e.runs;
+            total.chunk_runs += e.chunk_runs;
+        }
 
-            (symbols, col_tags, rec_tags, flags, runs)
-        })?;
+        // Walk B: emit into pre-sized arena-backed arrays.
+        let arena = exec.arena();
+        let mut symbols = arena.take_u8("tag/symbols");
+        symbols.resize(total.symbols as usize, 0);
+        let mut runs = arena.take_vec::<FieldRun>("tag/runs");
+        runs.resize(total.runs as usize, FieldRun::default());
+        {
+            let sym_w = SlotWriter::new(&mut symbols);
+            let run_w = SlotWriter::new(&mut runs);
+            grid.run_partitioned(n_chunks, |w, chunks| {
+                if chunks.is_empty() {
+                    return;
+                }
+                let sinks = Sinks {
+                    symbols: &sym_w,
+                    runs: &run_w,
+                    sym_base: sym_bases[w],
+                    run_base: run_bases[w],
+                };
+                Walker::start(input, meta, cfg, cs, chunks.start, Some(sinks), None)
+                    .walk_chunks(grid, chunks);
+            });
+        }
+
+        // Work counters model the paper's per-chunk GPU kernel, not this
+        // walk: two passes over the input and its bitmaps, a column tag
+        // per symbol plus the mode's record tag or delimiter flag, and the
+        // runs a per-chunk walker would emit (`FieldRun::chunks`).
+        let per_symbol_out: u64 = 1
+            + 4
+            + match cfg.mode {
+                TaggingMode::RecordTagged => 4,
+                TaggingMode::InlineTerminated { .. } => 0,
+                TaggingMode::VectorDelimited => 1,
+            };
+        counters.kernel_launches = 2;
+        counters.bytes_read = 2 * (n as u64 + n as u64 / 2);
+        counters.bytes_written = total.symbols * per_symbol_out + total.chunk_runs * RUN_BYTES;
+        counters.parallel_ops = 2 * n as u64;
+
+        (symbols, runs)
+    })?;
 
     Ok(Tagged {
+        mode: cfg.mode,
         symbols,
-        col_tags,
-        rec_tags,
-        delim_flags: want_flags.then_some(flags),
         runs,
         rejected: rejected.into_bitmap(),
         terminator_clash: clash.load(Ordering::Relaxed),
@@ -365,55 +212,312 @@ pub fn tag_symbols(
 /// Cost-model size of one [`FieldRun`] (col + row + start + len + closed).
 pub(crate) const RUN_BYTES: u64 = 25;
 
-/// Extend the current field run with one emitted symbol at emission
-/// position `count`, or flush it and open a new one when the `(col, row)`
-/// changes (or the previous run was closed by a delimiter).
-#[inline]
-fn track_run(
-    cur: &mut Option<FieldRun>,
-    flushed: &mut u64,
-    emit: Option<&EmitSinks<'_>>,
+/// What one worker's walk emitted.
+#[derive(Debug, Clone, Copy, Default)]
+struct Emitted {
+    symbols: u64,
+    runs: u64,
+    /// Sum of [`FieldRun::chunks`] over the runs.
+    chunk_runs: u64,
+}
+
+/// Where the emitting walk writes: the global symbol and run arrays and
+/// the worker's base offsets into them.
+struct Sinks<'a> {
+    symbols: &'a SlotWriter<'a, u8>,
+    runs: &'a SlotWriter<'a, FieldRun>,
+    sym_base: usize,
+    run_base: usize,
+}
+
+/// Where the counting walk reports rejects and terminator clashes.
+struct Marks<'a> {
+    rejected: &'a AtomicBitmap,
+    clash: &'a AtomicBool,
+}
+
+/// One worker's walk over its contiguous range of chunks. All position
+/// state lives here, so consecutive [`Walker::walk`] calls continue one
+/// another.
+struct Walker<'a, 's> {
+    input: &'a [u8],
+    meta: &'a MetaPass,
+    cfg: &'a TagConfig<'a>,
+    chunk_size: usize,
+    /// Whether kept field delimiters are emitted (inline/vector modes).
+    include_delims: bool,
+    /// The inline mode's terminator.
+    terminator: Option<u8>,
+    /// Raw record and column of the current position.
+    rec: u64,
     col: u32,
-    row: u32,
-    count: u64,
-    is_delim: bool,
-) {
-    match cur {
-        Some(run) if run.col == col && run.row == row && !run.closed => {
-            run.len += 1;
-            run.closed = is_delim;
+    /// Cursor into `cfg.skip_records`: the first entry `>= rec`.
+    next_skip: usize,
+    /// Output row of `rec` (`None` when skipped) and output column of
+    /// `col` (`None` when dropped).
+    row: Option<u64>,
+    out_col: Option<u32>,
+    /// The open run; its `start` is relative to the worker's first symbol.
+    run: Option<FieldRun>,
+    /// For [`FieldRun::chunks`]: the end of the chunk holding the last
+    /// appended byte, and its value when the open run last grew.
+    cut: usize,
+    run_cut: usize,
+    emitted: Emitted,
+    sinks: Option<Sinks<'s>>,
+    marks: Option<&'s Marks<'s>>,
+}
+
+impl<'a, 's> Walker<'a, 's> {
+    /// A walker positioned at the start of chunk `first_chunk`.
+    fn start(
+        input: &'a [u8],
+        meta: &'a MetaPass,
+        cfg: &'a TagConfig<'a>,
+        chunk_size: usize,
+        first_chunk: usize,
+        sinks: Option<Sinks<'s>>,
+        marks: Option<&'s Marks<'s>>,
+    ) -> Self {
+        let rec = meta.record_offsets[first_chunk];
+        let col = meta.col_offsets[first_chunk];
+        let next_skip = cfg.skip_records.partition_point(|&s| s < rec);
+        let mut w = Walker {
+            input,
+            meta,
+            cfg,
+            chunk_size,
+            include_delims: !matches!(cfg.mode, TaggingMode::RecordTagged),
+            terminator: match cfg.mode {
+                TaggingMode::InlineTerminated { terminator } => Some(terminator),
+                _ => None,
+            },
+            rec,
+            col,
+            next_skip,
+            row: None,
+            out_col: map_col(cfg.col_map, col),
+            run: None,
+            cut: first_chunk * chunk_size,
+            run_cut: 0,
+            emitted: Emitted::default(),
+            sinks,
+            marks,
+        };
+        w.seek_row();
+        w
+    }
+
+    /// Walk `chunks`, polling the launch's abort signal every 256 chunks'
+    /// worth of bytes, and flush the last run.
+    fn walk_chunks(mut self, grid: &Grid, chunks: Range<usize>) -> Emitted {
+        let n = self.input.len();
+        let mut c = chunks.start;
+        while c < chunks.end {
+            grid.check_abort(c);
+            let next = ((c | 0xFF) + 1).min(chunks.end);
+            self.walk(c * self.chunk_size, (next * self.chunk_size).min(n));
+            c = next;
         }
-        _ => {
-            flush_run(cur, flushed, emit);
-            *cur = Some(FieldRun {
-                col,
-                row,
-                start: count,
-                len: 1,
-                closed: is_delim,
+        self.flush();
+        self.emitted
+    }
+
+    /// Walk bytes `lo..hi` boundary to boundary.
+    fn walk(&mut self, lo: usize, hi: usize) {
+        let meta = self.meta;
+        let (rec_w, fld_w, ctl_w, rej_w) = (
+            meta.records.words(),
+            meta.fields.words(),
+            meta.control.words(),
+            meta.rejects.words(),
+        );
+        let mut wi = lo >> 6;
+        let (mut rec_bits, mut fld_bits, mut rej_bits) = (rec_w[wi], fld_w[wi], rej_w[wi]);
+        let mut bounds = (rec_bits | fld_bits | ctl_w[wi] | rej_bits) & (!0u64 << (lo & 63));
+        let mut span = lo;
+        loop {
+            while bounds == 0 {
+                wi += 1;
+                if wi << 6 >= hi {
+                    self.data(span, hi);
+                    return;
+                }
+                (rec_bits, fld_bits, rej_bits) = (rec_w[wi], fld_w[wi], rej_w[wi]);
+                bounds = rec_bits | fld_bits | ctl_w[wi] | rej_bits;
+            }
+            let i = (wi << 6) | bounds.trailing_zeros() as usize;
+            if i >= hi {
+                break;
+            }
+            bounds &= bounds - 1;
+            self.data(span, i);
+            span = i + 1;
+            let bit = 1u64 << (i & 63);
+            if rej_bits & bit != 0 {
+                self.reject_syntax(i);
+            }
+            if rec_bits & bit != 0 {
+                self.delimiter(i, true);
+            } else if fld_bits & bit != 0 {
+                self.delimiter(i, false);
+            } else if ctl_w[wi] & bit == 0 {
+                // A rejected data byte: it opens the next data span.
+                span = i;
+            }
+        }
+        self.data(span, hi);
+    }
+
+    /// The data span `a..b` of the current field.
+    #[inline]
+    fn data(&mut self, a: usize, b: usize) {
+        if a >= b {
+            return;
+        }
+        let input = self.input;
+        if let (Some(marks), Some(t)) = (self.marks, self.terminator) {
+            if input[a..b].contains(&t) {
+                marks.clash.store(true, Ordering::Relaxed);
+            }
+        }
+        self.emit(a, b, &input[a..b], false);
+    }
+
+    /// A record (`is_rec`) or field delimiter at byte `i`.
+    fn delimiter(&mut self, i: usize, is_rec: bool) {
+        if self.include_delims {
+            let byte = self.terminator.unwrap_or(self.input[i]);
+            self.emit(i, i + 1, &[byte], true);
+        }
+        if is_rec {
+            if let (Some(expect), Some(row)) = (self.cfg.expected_columns, self.row) {
+                if self.col + 1 != expect {
+                    self.reject(
+                        row,
+                        None,
+                        i,
+                        RejectReason::ColumnCountMismatch {
+                            expected: expect,
+                            got: self.col + 1,
+                        },
+                    );
+                }
+            }
+            self.rec += 1;
+            self.col = 0;
+            self.seek_row();
+        } else {
+            self.col += 1;
+        }
+        self.out_col = map_col(self.cfg.col_map, self.col);
+    }
+
+    /// An invalid transition at byte `i`. A control-only trailing segment
+    /// (say a stray `\r` after the last newline) can carry reject bits
+    /// without forming a trailing record; there is no row to attach them
+    /// to.
+    fn reject_syntax(&self, i: usize) {
+        if let Some(row) = self.row.filter(|&r| r < self.cfg.num_out_rows) {
+            self.reject(row, self.out_col, i, RejectReason::InvalidSyntax);
+        }
+    }
+
+    /// Mark output row `row` rejected (counting walk only).
+    fn reject(&self, row: u64, column: Option<u32>, i: usize, reason: RejectReason) {
+        let Some(marks) = self.marks else { return };
+        marks.rejected.set(row as usize);
+        if let Some(sink) = self.cfg.diags {
+            sink.push(RecordDiagnostic {
+                record: row,
+                column,
+                byte_offset: Some(i as u64),
+                reason,
             });
         }
     }
-}
 
-/// Write the pending run (if any) to the run sink, rebasing its
-/// chunk-local start to the global tagged-array offset.
-#[inline]
-fn flush_run(cur: &mut Option<FieldRun>, flushed: &mut u64, emit: Option<&EmitSinks<'_>>) {
-    if let Some(run) = cur.take() {
-        if let Some((_, _, _, _, run_w, base, run_base)) = emit {
-            let dst = *run_base + *flushed as usize;
+    /// Resolve the output row of `rec` by advancing the skip cursor.
+    fn seek_row(&mut self) {
+        let skip = self.cfg.skip_records;
+        while skip.get(self.next_skip).is_some_and(|&s| s < self.rec) {
+            self.next_skip += 1;
+        }
+        self.row =
+            (skip.get(self.next_skip) != Some(&self.rec)).then(|| self.rec - self.next_skip as u64);
+    }
+
+    /// Emit `symbols`, standing for input bytes `a..b`, when the current
+    /// field is kept: write them (emitting walk) and append them to the
+    /// open run, or flush it and open a new one when the field changes or
+    /// the open run was closed by a delimiter.
+    #[inline]
+    fn emit(&mut self, a: usize, b: usize, symbols: &[u8], closed: bool) {
+        let (Some(row), Some(col)) = (self.row.map(|r| r as u32), self.out_col) else {
+            return;
+        };
+        if let Some(s) = &self.sinks {
+            // SAFETY: the counting walk sized this worker's symbol range
+            // from the same emissions, and worker ranges are disjoint.
             unsafe {
-                run_w.write(
-                    dst,
-                    FieldRun {
-                        start: *base as u64 + run.start,
-                        ..run
-                    },
-                )
+                s.symbols
+                    .write_slice(s.sym_base + self.emitted.symbols as usize, symbols)
             };
         }
-        *flushed += 1;
+        let extends = matches!(self.run, Some(r) if r.row == row && r.col == col && !r.closed);
+        // Count the chunks `a..b` falls in, less the one the open run
+        // already has when the span starts in its last chunk.
+        while self.cut <= a {
+            self.cut += self.chunk_size;
+        }
+        let mut chunks = u32::from(!extends || self.cut != self.run_cut);
+        while self.cut < b {
+            self.cut += self.chunk_size;
+            chunks += 1;
+        }
+        self.run_cut = self.cut;
+        self.emitted.chunk_runs += u64::from(chunks);
+        let len = symbols.len() as u64;
+        match &mut self.run {
+            Some(run) if extends => {
+                run.len += len;
+                run.closed = closed;
+                run.chunks = run.chunks.saturating_add(chunks);
+            }
+            _ => {
+                self.flush();
+                self.run = Some(FieldRun {
+                    col,
+                    row,
+                    start: self.emitted.symbols,
+                    len,
+                    closed,
+                    chunks,
+                });
+            }
+        }
+        self.emitted.symbols += len;
+    }
+
+    /// Write the open run (if any), rebasing its start to the global
+    /// symbol array.
+    fn flush(&mut self) {
+        if let Some(run) = self.run.take() {
+            if let Some(s) = &self.sinks {
+                // SAFETY: the counting walk counted this worker's runs the
+                // same way, so the slot lies in the worker's own range.
+                unsafe {
+                    s.runs.write(
+                        s.run_base + self.emitted.runs as usize,
+                        FieldRun {
+                            start: s.sym_base as u64 + run.start,
+                            ..run
+                        },
+                    )
+                };
+            }
+            self.emitted.runs += 1;
+        }
     }
 }
 
@@ -429,7 +533,6 @@ mod tests {
     use crate::meta::identify_columns_and_records;
     use crate::options::ScanAlgorithm;
     use parparaw_dfa::csv::rfc4180_paper;
-    use parparaw_parallel::Grid;
 
     fn run_meta(input: &[u8], chunk_size: usize, workers: usize) -> (KernelExecutor, MetaPass) {
         let dfa = rfc4180_paper();
@@ -445,31 +548,58 @@ mod tests {
         (0..n as u32).map(Some).collect()
     }
 
-    #[test]
-    fn record_tagged_matches_figure5() {
-        // Fig. 4/5 input: tags per symbol for the Bookcase example.
-        let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
-        let (exec, meta) = run_meta(input, 10, 3);
-        let col_map = identity_map(3);
-        let cfg = TagConfig {
-            mode: TaggingMode::RecordTagged,
-            col_map: &col_map,
+    fn config<'a>(mode: TaggingMode, col_map: &'a [Option<u32>], meta: &MetaPass) -> TagConfig<'a> {
+        TagConfig {
+            mode,
+            col_map,
             skip_records: &[],
             expected_columns: None,
             num_out_rows: meta.num_records,
             diags: None,
-        };
+        }
+    }
+
+    /// `(column, row, symbols, closed)` per run, in input order: one run
+    /// per field, since these tests tag on one worker.
+    fn fields(t: &Tagged) -> Vec<(u32, u32, String, bool)> {
+        t.runs
+            .iter()
+            .map(|r| {
+                let bytes = &t.symbols[r.start as usize..(r.start + r.len) as usize];
+                let text = String::from_utf8_lossy(bytes).into_owned();
+                (r.col, r.row, text, r.closed)
+            })
+            .collect()
+    }
+
+    fn field(col: u32, row: u32, text: &str, closed: bool) -> (u32, u32, String, bool) {
+        (col, row, text.to_string(), closed)
+    }
+
+    #[test]
+    fn record_tagged_matches_figure5() {
+        // Fig. 4/5 input: each field's symbols carry its (column, record).
+        let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
+        let (exec, meta) = run_meta(input, 10, 1);
+        let col_map = identity_map(3);
+        let cfg = config(TaggingMode::RecordTagged, &col_map, &meta);
         let t = tag_symbols(&exec, input, 10, &meta, &cfg).unwrap();
         // CSS content: all data symbols, no quotes/delims.
-        let s: Vec<u8> = t.symbols.clone();
         assert_eq!(
-            String::from_utf8_lossy(&s),
+            String::from_utf8_lossy(&t.symbols),
             "1941199.99Bookcase193819.99Frame\n\"Ribba\", black"
         );
-        // First record's symbols: cols 0,0,0,0 then 1... and recs all 0.
-        assert_eq!(&t.col_tags[..10], &[0, 0, 0, 0, 1, 1, 1, 1, 1, 1]);
-        assert!(t.rec_tags[..18].iter().all(|&r| r == 0));
-        assert!(t.rec_tags[18..].iter().all(|&r| r == 1));
+        assert_eq!(
+            fields(&t),
+            [
+                field(0, 0, "1941", false),
+                field(1, 0, "199.99", false),
+                field(2, 0, "Bookcase", false),
+                field(0, 1, "1938", false),
+                field(1, 1, "19.99", false),
+                field(2, 1, "Frame\n\"Ribba\", black", false),
+            ]
+        );
         assert!(!t.terminator_clash);
         assert_eq!(t.rejected.count_ones(), 0);
     }
@@ -478,71 +608,44 @@ mod tests {
     fn inline_terminated_matches_figure6() {
         // Paper Fig. 6: 0,"Apples"\n1,\n2,"Pears"\n
         let input = b"0,\"Apples\"\n1,\n2,\"Pears\"\n";
-        let (exec, meta) = run_meta(input, 5, 2);
+        let (exec, meta) = run_meta(input, 5, 1);
         let col_map = identity_map(2);
-        let cfg = TagConfig {
-            mode: TaggingMode::InlineTerminated { terminator: 0 },
-            col_map: &col_map,
-            skip_records: &[],
-            expected_columns: None,
-            num_out_rows: meta.num_records,
-            diags: None,
-        };
+        let cfg = config(
+            TaggingMode::InlineTerminated { terminator: 0 },
+            &col_map,
+            &meta,
+        );
         let t = tag_symbols(&exec, input, 5, &meta, &cfg).unwrap();
-        // Column 1's portion (after partitioning) will be
-        // Apples\0\0Pears\0; before partitioning symbols interleave, so
-        // filter by tag here.
-        let col1: Vec<u8> = t
-            .symbols
-            .iter()
-            .zip(&t.col_tags)
-            .filter(|(_, &c)| c == 1)
-            .map(|(&b, _)| b)
-            .collect();
-        assert_eq!(col1, b"Apples\0\0Pears\0");
-        let col0: Vec<u8> = t
-            .symbols
-            .iter()
-            .zip(&t.col_tags)
-            .filter(|(_, &c)| c == 0)
-            .map(|(&b, _)| b)
-            .collect();
-        assert_eq!(col0, b"0\x001\x002\x00");
-        assert!(t.rec_tags.is_empty());
+        // Column 1's portion (after partitioning) will be Apples\0\0Pears\0;
+        // every field's run ends with its terminator.
+        assert_eq!(
+            fields(&t),
+            [
+                field(0, 0, "0\0", true),
+                field(1, 0, "Apples\0", true),
+                field(0, 1, "1\0", true),
+                field(1, 1, "\0", true),
+                field(0, 2, "2\0", true),
+                field(1, 2, "Pears\0", true),
+            ]
+        );
     }
 
     #[test]
     fn vector_delimited_keeps_original_bytes() {
         let input = b"0,\"Apples\"\n1,\n2,\"Pears\"\n";
-        let (exec, meta) = run_meta(input, 7, 2);
+        let (exec, meta) = run_meta(input, 7, 1);
         let col_map = identity_map(2);
-        let cfg = TagConfig {
-            mode: TaggingMode::VectorDelimited,
-            col_map: &col_map,
-            skip_records: &[],
-            expected_columns: None,
-            num_out_rows: meta.num_records,
-            diags: None,
-        };
+        let cfg = config(TaggingMode::VectorDelimited, &col_map, &meta);
         let t = tag_symbols(&exec, input, 7, &meta, &cfg).unwrap();
-        let flags = t.delim_flags.as_ref().unwrap();
-        let col1: Vec<(u8, bool)> = t
-            .symbols
-            .iter()
-            .zip(flags)
-            .zip(&t.col_tags)
-            .filter(|(_, &c)| c == 1)
-            .map(|((&b, &f), _)| (b, f))
-            .collect();
-        // Paper Fig. 6: Apples??Pears? with flags on the delimiters.
-        let bytes: Vec<u8> = col1.iter().map(|p| p.0).collect();
-        assert_eq!(bytes, b"Apples\n\nPears\n");
-        let flagged: Vec<bool> = col1.iter().map(|p| p.1).collect();
+        // Paper Fig. 6: Apples??Pears? with each delimiter closing a field.
+        let col1: Vec<_> = fields(&t).into_iter().filter(|f| f.0 == 1).collect();
         assert_eq!(
-            flagged,
+            col1,
             [
-                false, false, false, false, false, false, true, true, false, false, false, false,
-                false, true
+                field(1, 0, "Apples\n", true),
+                field(1, 1, "\n", true),
+                field(1, 2, "Pears\n", true),
             ]
         );
     }
@@ -550,21 +653,25 @@ mod tests {
     #[test]
     fn skipping_records_and_columns() {
         let input = b"a,b,c\nd,e,f\ng,h,i\n";
-        let (exec, meta) = run_meta(input, 4, 2);
+        let (exec, meta) = run_meta(input, 4, 1);
         // Keep only columns 0 and 2, skip record 1.
         let col_map = vec![Some(0), None, Some(1)];
         let cfg = TagConfig {
-            mode: TaggingMode::RecordTagged,
-            col_map: &col_map,
             skip_records: &[1],
-            expected_columns: None,
             num_out_rows: meta.num_records - 1,
-            diags: None,
+            ..config(TaggingMode::RecordTagged, &col_map, &meta)
         };
         let t = tag_symbols(&exec, input, 4, &meta, &cfg).unwrap();
         assert_eq!(String::from_utf8_lossy(&t.symbols), "acgi");
-        assert_eq!(t.col_tags, vec![0, 1, 0, 1]);
-        assert_eq!(t.rec_tags, vec![0, 0, 1, 1]);
+        assert_eq!(
+            fields(&t),
+            [
+                field(0, 0, "a", false),
+                field(1, 0, "c", false),
+                field(0, 1, "g", false),
+                field(1, 1, "i", false),
+            ]
+        );
     }
 
     #[test]
@@ -573,12 +680,8 @@ mod tests {
         let (exec, meta) = run_meta(input, 3, 1);
         let col_map = identity_map(2);
         let cfg = TagConfig {
-            mode: TaggingMode::RecordTagged,
-            col_map: &col_map,
-            skip_records: &[],
             expected_columns: Some(2),
-            num_out_rows: meta.num_records,
-            diags: None,
+            ..config(TaggingMode::RecordTagged, &col_map, &meta)
         };
         let t = tag_symbols(&exec, input, 3, &meta, &cfg).unwrap();
         assert!(!t.rejected.get(0));
@@ -591,15 +694,8 @@ mod tests {
         let input = b"a\x1fb,c\n";
         let (exec, meta) = run_meta(input, 3, 1);
         let col_map = identity_map(2);
-        let cfg = TagConfig {
-            mode: TaggingMode::InlineTerminated { terminator: 0x1F },
-            col_map: &col_map,
-            skip_records: &[],
-            expected_columns: None,
-            num_out_rows: meta.num_records,
-            diags: None,
-        };
-        let t = tag_symbols(&exec, input, 3, &meta, &cfg).unwrap();
+        let mode = TaggingMode::InlineTerminated { terminator: 0x1F };
+        let t = tag_symbols(&exec, input, 3, &meta, &config(mode, &col_map, &meta)).unwrap();
         assert!(t.terminator_clash);
     }
 
@@ -608,51 +704,8 @@ mod tests {
         let input = b"a,b,EXTRA\nc,d\n";
         let (exec, meta) = run_meta(input, 5, 2);
         let col_map = identity_map(2); // only 2 columns kept
-        let cfg = TagConfig {
-            mode: TaggingMode::RecordTagged,
-            col_map: &col_map,
-            skip_records: &[],
-            expected_columns: None,
-            num_out_rows: meta.num_records,
-            diags: None,
-        };
+        let cfg = config(TaggingMode::RecordTagged, &col_map, &meta);
         let t = tag_symbols(&exec, input, 5, &meta, &cfg).unwrap();
         assert_eq!(String::from_utf8_lossy(&t.symbols), "abcd");
-    }
-
-    #[test]
-    fn deterministic_across_chunk_sizes_and_workers() {
-        let input = b"x,\"y,\ny\",z\n1,\"2\",3\n,,\na,b,c";
-        let reference = {
-            let (exec, meta) = run_meta(input, 6, 1);
-            let col_map = identity_map(3);
-            let cfg = TagConfig {
-                mode: TaggingMode::RecordTagged,
-                col_map: &col_map,
-                skip_records: &[],
-                expected_columns: None,
-                num_out_rows: meta.num_records,
-                diags: None,
-            };
-            tag_symbols(&exec, input, 6, &meta, &cfg).unwrap()
-        };
-        for chunk_size in [1usize, 3, 10, 31, 200] {
-            for workers in [1usize, 4] {
-                let (exec, meta) = run_meta(input, chunk_size, workers);
-                let col_map = identity_map(3);
-                let cfg = TagConfig {
-                    mode: TaggingMode::RecordTagged,
-                    col_map: &col_map,
-                    skip_records: &[],
-                    expected_columns: None,
-                    num_out_rows: meta.num_records,
-                    diags: None,
-                };
-                let t = tag_symbols(&exec, input, chunk_size, &meta, &cfg).unwrap();
-                assert_eq!(t.symbols, reference.symbols, "cs={chunk_size} w={workers}");
-                assert_eq!(t.col_tags, reference.col_tags);
-                assert_eq!(t.rec_tags, reference.rec_tags);
-            }
-        }
     }
 }

@@ -1,0 +1,274 @@
+//! The word-wise tagging walk against a byte-at-a-time reference.
+//!
+//! `tag_symbols` jumps from boundary to boundary over the pass-2 bitmap
+//! words and splits a field's run only where a worker's chunk range ends.
+//! The reference below reads the same bitmaps one bit at a time over the
+//! whole input. Both must agree on the compacted symbols, the field runs
+//! (after joining worker splits), the reject bitmap, the diagnostics and
+//! the terminator clash — across tagging modes, skipped records, dropped
+//! and out-of-range columns, column-count validation, inputs with reject
+//! bits, chunk sizes that straddle bitmap words, worker counts and both
+//! launch modes.
+
+use parparaw_core::context::determine_contexts_with;
+use parparaw_core::diag::{DiagSink, RecordDiagnostic, RejectReason};
+use parparaw_core::meta::{identify_columns_and_records, MetaPass};
+use parparaw_core::tagging::{tag_symbols, FieldRun, TagConfig};
+use parparaw_core::{ScanAlgorithm, TaggingMode};
+use parparaw_dfa::csv::{rfc4180, rfc4180_paper, CsvDialect};
+use parparaw_dfa::{Dfa, DfaBuilder, Emit};
+use parparaw_parallel::{Bitmap, Grid, KernelExecutor, LaunchMode, SplitMix64};
+
+fn meta_on(exec: &KernelExecutor, dfa: &Dfa, input: &[u8], chunk_size: usize) -> MetaPass {
+    let ctx =
+        determine_contexts_with(exec, dfa, input, chunk_size, ScanAlgorithm::Blocked).unwrap();
+    identify_columns_and_records(exec, dfa, input, chunk_size, &ctx.start_states).unwrap()
+}
+
+/// Join runs split at worker-range ends back into one run per field.
+fn merged(runs: &[FieldRun]) -> Vec<FieldRun> {
+    let mut out: Vec<FieldRun> = Vec::new();
+    for &r in runs {
+        match out.last_mut() {
+            Some(last)
+                if (last.col, last.row) == (r.col, r.row)
+                    && !last.closed
+                    && last.start + last.len == r.start =>
+            {
+                last.len += r.len;
+                last.closed = r.closed;
+                last.chunks += r.chunks;
+            }
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
+/// The byte-at-a-time reference: one walker over the whole input,
+/// reading the same bitmaps bit by bit, with one run per field and
+/// `chunks` counted as the distinct chunks each field's symbols hit.
+struct Reference {
+    symbols: Vec<u8>,
+    runs: Vec<FieldRun>,
+    rejected: Bitmap,
+    diags: Vec<RecordDiagnostic>,
+    clash: bool,
+}
+
+fn reference(input: &[u8], chunk_size: usize, meta: &MetaPass, cfg: &TagConfig) -> Reference {
+    let out_row = |rec: u64| match cfg.skip_records.binary_search(&rec) {
+        Ok(_) => None,
+        Err(rank) => Some(rec - rank as u64),
+    };
+    let terminator = match cfg.mode {
+        TaggingMode::InlineTerminated { terminator } => Some(terminator),
+        _ => None,
+    };
+    let include_delims = !matches!(cfg.mode, TaggingMode::RecordTagged);
+    let mut r = Reference {
+        symbols: Vec::new(),
+        runs: Vec::new(),
+        rejected: Bitmap::new(cfg.num_out_rows as usize),
+        diags: Vec::new(),
+        clash: false,
+    };
+    let (mut rec, mut col, mut last_chunk) = (0u64, 0u32, usize::MAX);
+    for (i, &b) in input.iter().enumerate() {
+        let kept = out_row(rec).zip(cfg.col_map.get(col as usize).copied().flatten());
+        let mut reject = |row: u64, column, reason| {
+            r.rejected.set(row as usize);
+            r.diags.push(RecordDiagnostic {
+                record: row,
+                column,
+                byte_offset: Some(i as u64),
+                reason,
+            });
+        };
+        if meta.rejects.get(i) {
+            if let Some(row) = out_row(rec).filter(|&row| row < cfg.num_out_rows) {
+                reject(
+                    row,
+                    cfg.col_map.get(col as usize).copied().flatten(),
+                    RejectReason::InvalidSyntax,
+                );
+            }
+        }
+        let is_rec = meta.records.get(i);
+        let is_delim = is_rec || meta.fields.get(i);
+        if is_rec {
+            if let (Some(expected), Some(row)) = (cfg.expected_columns, out_row(rec)) {
+                if col + 1 != expected {
+                    let got = col + 1;
+                    reject(
+                        row,
+                        None,
+                        RejectReason::ColumnCountMismatch { expected, got },
+                    );
+                }
+            }
+        }
+        let emit = if is_delim {
+            include_delims.then(|| terminator.unwrap_or(b))
+        } else if meta.control.get(i) {
+            None
+        } else {
+            r.clash |= Some(b) == terminator;
+            Some(b)
+        };
+        if let (Some(byte), Some((row, oc))) = (emit, kept) {
+            let chunk = i / chunk_size;
+            match r.runs.last_mut() {
+                Some(run) if (run.col, run.row) == (oc, row as u32) && !run.closed => {
+                    run.len += 1;
+                    run.closed = is_delim;
+                    run.chunks += u32::from(chunk != last_chunk);
+                }
+                _ => r.runs.push(FieldRun {
+                    col: oc,
+                    row: row as u32,
+                    start: r.symbols.len() as u64,
+                    len: 1,
+                    closed: is_delim,
+                    chunks: 1,
+                }),
+            }
+            last_chunk = chunk;
+            r.symbols.push(byte);
+        }
+        if is_rec {
+            rec += 1;
+            col = 0;
+        } else if is_delim {
+            col += 1;
+        }
+    }
+    r.diags.sort_by_key(|d| (d.record, d.column, d.byte_offset));
+    r.diags
+        .dedup_by_key(|d| (d.record, d.column, d.byte_offset));
+    r
+}
+
+/// A one-state format whose `!` is a data byte flagged as a reject (the
+/// CSV automata flag only control bytes): a reject bit inside a data span.
+fn flagged_data_format() -> Dfa {
+    let mut b = DfaBuilder::new();
+    let s = b.state("FLD");
+    let (nl, comma, bang) = (b.group(b"\n"), b.group(b","), b.group(b"!"));
+    let any = b.catch_all();
+    b.transition(s, nl, s, Emit::RECORD_DELIM)
+        .transition(s, comma, s, Emit::FIELD_DELIM)
+        .transition(s, bang, s, Emit::REJECT)
+        .transition(s, any, s, Emit::DATA)
+        .start(s)
+        .accepting(&[s]);
+    b.build().unwrap()
+}
+
+/// Seeded CSV-ish soup: long letter runs (so spans straddle bitmap
+/// words), delimiters, quotes (rejects when unbalanced), `\r`, `#`
+/// comments, `!` and the inline terminator byte.
+fn soup(seed: u64, len: usize) -> Vec<u8> {
+    let mut rng = SplitMix64::new(seed);
+    let mut out = Vec::with_capacity(len + 100);
+    while out.len() < len {
+        match rng.next_below(10) {
+            0..=3 => {
+                let run = rng.next_below(90) as usize;
+                out.extend((0..run).map(|k| b'a' + (k % 26) as u8));
+            }
+            4 | 5 => out.push(b','),
+            6 => out.push(b'\n'),
+            7 => out.push(b'"'),
+            _ => out.push(*rng.choice(b"\r#\x1f!")),
+        }
+    }
+    out
+}
+
+#[test]
+fn word_walk_matches_byte_reference() {
+    let mut inputs: Vec<Vec<u8>> = vec![
+        b"x,\"y,\ny\",z\n1,\"2\",3\n,,\na,b,c".to_vec(),
+        b"a\"b,c\n\"d\"e,f\ng,h,i,j\n\"open".to_vec(),
+        b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n".to_vec(),
+    ];
+    inputs.extend((0..4).map(|seed| soup(0x7A6 + seed, 700)));
+    let dfas = [
+        rfc4180_paper(),
+        rfc4180(&CsvDialect {
+            comment: Some(b'#'),
+            ..CsvDialect::default()
+        }),
+        flagged_data_format(),
+    ];
+    let modes = [
+        TaggingMode::RecordTagged,
+        TaggingMode::InlineTerminated { terminator: 0x1F },
+        TaggingMode::VectorDelimited,
+    ];
+    // What the cases exercised, so the comparison cannot pass vacuously.
+    let (mut splits, mut rejects, mut clashes) = (0, 0, 0);
+    for lm in [LaunchMode::Persistent, LaunchMode::SpawnPerLaunch] {
+        for workers in [1usize, 2, 4] {
+            let exec = KernelExecutor::new(Grid::with_mode(workers, lm));
+            for (d, dfa) in dfas.iter().enumerate() {
+                for (k, input) in inputs.iter().enumerate() {
+                    for cs in [1usize, 3, 31, 63, 64, 65, 200] {
+                        let meta = meta_on(&exec, dfa, input, cs);
+                        let last = meta.num_records.saturating_sub(1);
+                        let mut skip: Vec<u64> = vec![0, 2, 3, 7, last];
+                        skip.retain(|&r| r < meta.num_records);
+                        skip.sort_unstable();
+                        skip.dedup();
+                        let identity = [Some(0), Some(1), Some(2)];
+                        let sparse = [Some(0), None, Some(1)];
+                        for mode in modes {
+                            let plain = TagConfig {
+                                mode,
+                                col_map: &identity,
+                                skip_records: &[],
+                                expected_columns: None,
+                                num_out_rows: meta.num_records,
+                                diags: None,
+                            };
+                            let skipping = TagConfig {
+                                col_map: &sparse,
+                                skip_records: &skip,
+                                expected_columns: Some(3),
+                                num_out_rows: meta.num_records - skip.len() as u64,
+                                ..plain
+                            };
+                            for cfg in [plain, skipping] {
+                                let sink = DiagSink::new(usize::MAX);
+                                let cfg = TagConfig {
+                                    diags: Some(&sink),
+                                    ..cfg
+                                };
+                                let at = format!(
+                                    "{lm:?} w={workers} dfa={d} input={k} cs={cs} {} skip={:?}",
+                                    mode.name(),
+                                    cfg.skip_records
+                                );
+                                let want = reference(input, cs, &meta, &cfg);
+                                let got = tag_symbols(&exec, input, cs, &meta, &cfg).unwrap();
+                                assert_eq!(got.symbols, want.symbols, "{at}");
+                                assert_eq!(merged(&got.runs), want.runs, "{at}");
+                                assert_eq!(got.rejected, want.rejected, "{at}");
+                                assert_eq!(got.terminator_clash, want.clash, "{at}");
+                                assert_eq!(sink.into_sorted(), want.diags, "{at}");
+                                splits += usize::from(got.runs.len() > want.runs.len());
+                                rejects += usize::from(got.rejected.count_ones() > 0);
+                                clashes += usize::from(got.terminator_clash);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        splits > 0 && rejects > 0 && clashes > 0,
+        "{splits} {rejects} {clashes}"
+    );
+}
