@@ -151,15 +151,6 @@ impl Table {
 }
 
 impl Table {
-    /// Return the table with columns renamed (extra names ignored; missing
-    /// names keep the old ones). Used by the streaming header path.
-    pub fn renamed(mut self, names: &[String]) -> Table {
-        for (field, name) in self.schema.fields.iter_mut().zip(names) {
-            field.name = name.clone();
-        }
-        self
-    }
-
     /// Concatenate tables with identical schemas (the streaming path glues
     /// per-partition tables back together with this).
     pub fn concat(parts: &[&Table]) -> Result<Table, String> {

@@ -7,6 +7,7 @@
 //! [`crate::options::ErrorPolicy::Permissive`]) so adversarial inputs
 //! cannot balloon memory: past the cap only a counter advances.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -52,7 +53,8 @@ pub struct RecordDiagnostic {
     pub record: u64,
     /// Column index, when the problem is attributable to one field.
     pub column: Option<u32>,
-    /// Byte offset into the parsed input, when known.
+    /// Byte offset from the start of the input, header included (a
+    /// streamed parse counts from the stream start), when known.
     pub byte_offset: Option<u64>,
     /// Why the record was rejected.
     pub reason: RejectReason,
@@ -72,35 +74,62 @@ impl std::fmt::Display for RecordDiagnostic {
 }
 
 /// Bounded, thread-safe diagnostic collector shared by the parallel
-/// kernels. Collection past the cap only counts.
+/// kernels. Past the cap only a counter advances; the sink keeps the `cap`
+/// lowest entries by (record, column, byte offset), so which diagnostics
+/// survive does not depend on the order the workers push them in.
 #[derive(Debug)]
 pub struct DiagSink {
     cap: usize,
-    items: Mutex<Vec<RecordDiagnostic>>,
+    /// Output records and input bytes before the parsed input (earlier
+    /// stream partitions, a split-off header), added to every entry.
+    pub(crate) rows_before: u64,
+    bytes_before: u64,
+    items: Mutex<BTreeMap<DiagKey, RecordDiagnostic>>,
     dropped: AtomicU64,
 }
+
+/// A diagnostic's order and identity: (record, column, byte offset).
+type DiagKey = (u64, Option<u32>, Option<u64>);
 
 impl DiagSink {
     /// A sink retaining at most `cap` diagnostics.
     pub fn new(cap: usize) -> Self {
         DiagSink {
             cap,
-            items: Mutex::new(Vec::new()),
+            rows_before: 0,
+            bytes_before: 0,
+            items: Mutex::new(BTreeMap::new()),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Record one diagnostic (counted but not stored once full).
-    pub fn push(&self, d: RecordDiagnostic) {
+    /// The same sink, placing entries `rows` output records and `bytes`
+    /// input bytes further in.
+    pub(crate) fn after(self, rows: u64, bytes: u64) -> Self {
+        DiagSink {
+            rows_before: rows,
+            bytes_before: bytes,
+            ..self
+        }
+    }
+
+    /// Record one diagnostic (counted but not stored once full). A
+    /// retried launch that re-marks the same record does not duplicate
+    /// it.
+    pub fn push(&self, mut d: RecordDiagnostic) {
+        d.record += self.rows_before;
+        d.byte_offset = d.byte_offset.map(|b| b + self.bytes_before);
         let mut items = match self.items.lock() {
             Ok(g) => g,
             // A panicking kernel is already being converted into a
             // LaunchError; losing one diagnostic is acceptable.
             Err(poisoned) => poisoned.into_inner(),
         };
-        if items.len() < self.cap {
-            items.push(d);
-        } else {
+        items
+            .entry((d.record, d.column, d.byte_offset))
+            .or_insert(d);
+        if items.len() > self.cap {
+            items.pop_last();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -110,14 +139,10 @@ impl DiagSink {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Drain into a deterministic order: sorted by (record, column,
-    /// byte offset) and de-duplicated by that key, so a retried launch
-    /// that re-marks the same records does not duplicate entries.
+    /// Drain in (record, column, byte offset) order.
     pub fn into_sorted(self) -> Vec<RecordDiagnostic> {
-        let mut items = self.items.into_inner().unwrap_or_else(|p| p.into_inner());
-        items.sort_by_key(|d| (d.record, d.column, d.byte_offset));
-        items.dedup_by_key(|d| (d.record, d.column, d.byte_offset));
-        items
+        let items = self.items.into_inner().unwrap_or_else(|p| p.into_inner());
+        items.into_values().collect()
     }
 }
 
@@ -142,6 +167,16 @@ mod tests {
         }
         assert_eq!(sink.dropped(), 3);
         assert_eq!(sink.into_sorted().len(), 2);
+    }
+
+    #[test]
+    fn cap_keeps_the_lowest_records_whatever_the_push_order() {
+        let sink = DiagSink::new(2);
+        for r in [4, 1, 3, 0, 2] {
+            sink.push(diag(r));
+        }
+        let kept: Vec<u64> = sink.into_sorted().iter().map(|d| d.record).collect();
+        assert_eq!(kept, [0, 1]);
     }
 
     #[test]

@@ -174,7 +174,8 @@ pub struct ParserOptions {
     /// Parse only these column indexes (projection pushdown, §4.3:
     /// "skipping records and selecting columns"). `None` keeps all.
     pub selected_columns: Option<Vec<usize>>,
-    /// Records (0-based) to skip entirely.
+    /// Records (0-based, after the header) to skip entirely. Streaming
+    /// parses count them from the stream start, not per partition.
     pub skip_records: HashSet<u64>,
     /// Rows (0-based, raw-newline bounded — *not* the same as records, see
     /// paper §4.3) to prune in an initial pass before parsing. Useful for

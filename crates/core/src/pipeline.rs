@@ -28,6 +28,7 @@ use crate::infer::infer_column_type;
 use crate::meta::identify_columns_and_records;
 use crate::options::{ErrorPolicy, ParserOptions, TaggingMode};
 use crate::partition::partition_by_column_with;
+use crate::streaming::Checkpoint;
 use crate::tagging::{tag_symbols, TagConfig};
 use crate::timings::{ParseOutput, ParseStats, PhaseTimings, SimulatedTimings};
 use parparaw_columnar::{DataType, Field, Schema, Table};
@@ -66,7 +67,7 @@ impl Parser {
     /// Parse `input` into a columnar table.
     pub fn parse(&self, input: &[u8]) -> Result<ParseOutput, ParseError> {
         let exec = self.options.build_executor();
-        Ok(self.parse_with(&exec, input, false)?.0)
+        Ok(self.parse_with(&exec, input, false, None)?.out)
     }
 
     /// Parse one streaming partition: the trailing record not closed by a
@@ -75,19 +76,26 @@ impl Parser {
     /// partition (the carry-over of paper §4.4).
     pub fn parse_partition(&self, input: &[u8]) -> Result<(ParseOutput, usize), ParseError> {
         let exec = self.options.build_executor();
-        self.parse_with(&exec, input, true)
+        let parsed = self.parse_with(&exec, input, true, None)?;
+        Ok((parsed.out, parsed.carry_len))
     }
 
     /// Run the full pipeline on an explicit executor. The streaming path
     /// reuses one executor (and its buffer arena) across partitions; the
     /// launch log is drained per call, so every run reports its own
     /// timings and profiles.
+    ///
+    /// With `drop_trailing`, the record not closed by a record delimiter
+    /// is left for the next partition. `stream` is where the stream stood
+    /// before `input` (its header already split off): `skip_records` and
+    /// diagnostics then count from the stream start.
     pub(crate) fn parse_with(
         &self,
         exec: &KernelExecutor,
         input: &[u8],
         drop_trailing: bool,
-    ) -> Result<(ParseOutput, usize), ParseError> {
+        stream: Option<&Checkpoint>,
+    ) -> Result<Parsed, ParseError> {
         let o = &self.options;
         let cs = o.chunk_size;
         // Row pruning is whole-input: its indexes don't translate to
@@ -116,15 +124,20 @@ impl Parser {
         };
 
         // Header: split the first record off as column names before the
-        // parallel machinery sees the data.
-        let header_names: Option<Vec<String>>;
-        let input: &[u8] = if o.header && !input.is_empty() {
-            let (names, rest) = split_header(&self.dfa, input);
-            header_names = Some(names);
-            rest
-        } else {
-            header_names = None;
-            input
+        // parallel machinery sees the data. A stream splits it once, up
+        // front.
+        let split = (o.header && !input.is_empty())
+            .then(|| split_header(&self.dfa, input, true).expect("a final input ends its header"));
+        let (header_names, header_len) = match &split {
+            Some((names, at)) => (Some(names.as_slice()), *at),
+            None => (stream.and_then(|c| c.header_names.as_deref()), 0),
+        };
+        let input = &input[header_len..];
+        let column_name = |raw: usize| {
+            header_names
+                .and_then(|n| n.get(raw))
+                .cloned()
+                .unwrap_or_else(|| format!("c{raw}"))
         };
 
         // Phases 1+2: context recovery and metadata.
@@ -188,14 +201,15 @@ impl Parser {
             });
         }
 
-        // Record skipping.
+        // Record skipping, in this input's record coordinates.
         let mut skip: Vec<u64> = o
             .skip_records
             .iter()
-            .copied()
+            .filter_map(|&r| r.checked_sub(stream.map_or(0, |c| c.records_consumed)))
             .filter(|&r| r < meta.num_records)
             .collect();
         let mut carry_len = 0usize;
+        let mut records = meta.num_records;
         if drop_trailing {
             // Everything after the last record delimiter is deferred to
             // the next partition — even when it is control-only (an open
@@ -204,6 +218,7 @@ impl Parser {
             carry_len = input.len() - meta.records.last_set_bit().map(|i| i + 1).unwrap_or(0);
             if meta.has_trailing_record {
                 let trailing = meta.num_records - 1;
+                records = trailing;
                 if !skip.contains(&trailing) {
                     skip.push(trailing);
                 }
@@ -213,8 +228,12 @@ impl Parser {
         let num_out_rows = meta.num_records - skip.len() as u64;
 
         // Phase 3: tagging. Every reject the kernel marks also lands in
-        // the bounded diagnostic sink.
-        let sink = DiagSink::new(o.error_policy.diagnostic_cap());
+        // the bounded diagnostic sink, placed after the header and any
+        // earlier partitions.
+        let (rows_before, bytes_before) =
+            stream.map_or((0, 0), |c| (c.rows_emitted, c.resume_offset));
+        let sink = DiagSink::new(o.error_policy.diagnostic_cap())
+            .after(rows_before, bytes_before + header_len as u64);
         let cfg = TagConfig {
             mode: o.tagging,
             col_map: &col_map,
@@ -325,12 +344,7 @@ impl Parser {
                     } else {
                         DataType::Utf8
                     };
-                    let name = header_names
-                        .as_ref()
-                        .and_then(|n| n.get(raw_c))
-                        .cloned()
-                        .unwrap_or_else(|| format!("c{raw_c}"));
-                    Field::new(&name, dtype)
+                    Field::new(&column_name(raw_c), dtype)
                 }
             };
 
@@ -387,6 +401,19 @@ impl Parser {
             }
         }
 
+        // The raw-width schema a stream freezes: the inferred fields of
+        // the selected columns, never-converted placeholders elsewhere.
+        let schema = o.schema.is_none().then(|| {
+            Schema::new(
+                (0..num_raw_cols)
+                    .map(|raw| match col_map[raw] {
+                        Some(out) => fields_meta[out as usize].clone(),
+                        None => Field::new(&column_name(raw), DataType::Utf8),
+                    })
+                    .collect(),
+            )
+        });
+
         // Invariant: every column above was materialised with exactly
         // `num_rows` rows, so the table constructor cannot fail.
         let table = Table::new(Schema::new(fields_meta), columns)
@@ -420,8 +447,8 @@ impl Parser {
         let model = CostModel::new(o.device.clone());
         let simulated = SimulatedTimings::from_profiles(&model, &profiles, input.len() as u64);
 
-        Ok((
-            ParseOutput {
+        Ok(Parsed {
+            out: ParseOutput {
                 table,
                 rejected,
                 diagnostics,
@@ -431,20 +458,37 @@ impl Parser {
                 simulated,
             },
             carry_len,
-        ))
+            records,
+            schema,
+        })
     }
+}
+
+/// One pipeline run plus what a stream needs to continue after it.
+pub(crate) struct Parsed {
+    pub(crate) out: ParseOutput,
+    /// Bytes after the last record delimiter, deferred to the next
+    /// partition (0 unless `drop_trailing`).
+    pub(crate) carry_len: usize,
+    /// Records consumed, skipped ones included; a deferred trailing
+    /// record is not.
+    pub(crate) records: u64,
+    /// Without a configured schema, the raw-width schema this run inferred
+    /// (see [`crate::streaming`] on freezing it).
+    pub(crate) schema: Option<Schema>,
 }
 
 /// The diagnostic a `Strict` parse reports: the first (lowest record)
 /// entry in the sink, or a synthesised one from the reject bitmap when
 /// every diagnostic was dropped at the cap.
 fn first_diagnostic(sink: DiagSink, rejected: &Bitmap, num_rows: u64) -> RecordDiagnostic {
+    let rows_before = sink.rows_before;
     sink.into_sorted().into_iter().next().unwrap_or_else(|| {
         let record = (0..num_rows)
             .find(|&r| rejected.get(r as usize))
             .unwrap_or(0);
         RecordDiagnostic {
-            record,
+            record: rows_before + record,
             column: None,
             byte_offset: None,
             reason: RejectReason::InvalidSyntax,
@@ -452,34 +496,41 @@ fn first_diagnostic(sink: DiagSink, rejected: &Bitmap, num_rows: u64) -> RecordD
     })
 }
 
-/// Split the first record off as a header, returning the column names
-/// and the remaining input. Uses the same DFA emissions as the pipeline,
-/// so quoted header names with embedded delimiters work.
-fn split_header<'a>(dfa: &Dfa, input: &'a [u8]) -> (Vec<String>, &'a [u8]) {
+/// Split the first record off as a header: its column names (unnamed
+/// fields become `c{i}`) and the byte offset where the data starts. The
+/// walk uses the pipeline's DFA emissions from the start state, so quoted
+/// names with embedded delimiters and newlines work. `None` when no record
+/// delimiter has arrived yet and more input may follow (`!is_last`).
+pub(crate) fn split_header(dfa: &Dfa, input: &[u8], is_last: bool) -> Option<(Vec<String>, usize)> {
     let mut names: Vec<String> = Vec::new();
-    let mut cur: Option<Vec<u8>> = None;
+    let mut cur: Vec<u8> = Vec::new();
     let mut state = dfa.start_state();
-    let finish = |b: Option<Vec<u8>>, idx: usize| match b {
-        Some(bytes) if !bytes.is_empty() => String::from_utf8_lossy(&bytes).into_owned(),
-        _ => format!("c{idx}"),
+    let mut finish = |cur: &mut Vec<u8>| {
+        let idx = names.len();
+        names.push(if cur.is_empty() {
+            format!("c{idx}")
+        } else {
+            String::from_utf8_lossy(cur).into_owned()
+        });
+        cur.clear();
     };
     for (i, &b) in input.iter().enumerate() {
         let step = dfa.step(state, b);
         state = step.next;
         if step.emit.is_record_delimiter() {
-            let idx = names.len();
-            names.push(finish(cur.take(), idx));
-            return (names, &input[i + 1..]);
+            finish(&mut cur);
+            return Some((names, i + 1));
         } else if step.emit.is_field_delimiter() {
-            let idx = names.len();
-            names.push(finish(cur.take(), idx));
+            finish(&mut cur);
         } else if step.emit.is_data() {
-            cur.get_or_insert_with(Vec::new).push(b);
+            cur.push(b);
         }
     }
-    let idx = names.len();
-    names.push(finish(cur.take(), idx));
-    (names, &input[input.len()..])
+    if !is_last {
+        return None;
+    }
+    finish(&mut cur);
+    Some((names, input.len()))
 }
 
 /// Parse RFC 4180 CSV with the default dialect.
@@ -755,10 +806,10 @@ mod tests {
         let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\"\n";
         let parser = Parser::new(rfc4180(&CsvDialect::default()), opts());
         let exec = KernelExecutor::new(Grid::new(2));
-        parser.parse_with(&exec, input, false).unwrap();
+        parser.parse_with(&exec, input, false, None).unwrap();
         let (_, misses_first) = exec.arena().stats();
         assert!(misses_first > 0, "first run allocates fresh");
-        parser.parse_with(&exec, input, false).unwrap();
+        parser.parse_with(&exec, input, false, None).unwrap();
         // Stats reset at the start of each run, so the second run's
         // counters stand alone: all takes hit, nothing allocated.
         let (hits, misses_second) = exec.arena().stats();

@@ -6,22 +6,26 @@
 //! partitions overlap. The incomplete record at the end of each partition
 //! is carried over and prepended to the next one.
 //!
-//! Two things happen here:
+//! One crate-private `StreamCursor` parses each partition and owns all
+//! that carries between partitions (carry-over, header, frozen schema,
+//! stream-global diagnostics and `skip_records`, relaunch recovery, the
+//! arena-budget ladder, the [`Checkpoint`]). Two drivers feed it:
 //!
-//! 1. a **real threaded executor** runs the three stages on this host —
-//!    a transfer stage that copies raw partitions into owned buffers (the
-//!    H2D stand-in), the parser stage (with carry-over), and a collector
-//!    stage (the D2H stand-in) — connected by bounded channels of capacity
-//!    one, which is exactly the double-buffer discipline of Fig. 7;
-//! 2. every partition's **measured work** is recorded so the simulated
-//!    device can replay the full Fig. 7 dependency DAG over the PCIe link
-//!    model ([`StreamedOutput::streaming_plan`]).
+//! 1. [`Parser::parse_stream_resumable`] runs a **real threaded pipeline**
+//!    — a transfer stage copying raw partitions into owned buffers (the
+//!    H2D stand-in), the cursor, and a collector stage (the D2H stand-in)
+//!    — over bounded channels of capacity one, which is exactly the
+//!    double-buffer discipline of Fig. 7;
+//! 2. [`Parser::partitions`] calls the cursor on slices of the input.
+//!
+//! Every partition's **measured work** is recorded so the simulated device
+//! can replay the Fig. 7 dependency DAG over the PCIe link model
+//! ([`StreamedOutput::streaming_plan`]).
 
 use crate::diag::RecordDiagnostic;
 use crate::error::ParseError;
 use crate::options::ErrorPolicy;
-use crate::pipeline::Parser;
-use crate::timings::ParseOutput;
+use crate::pipeline::{split_header, Parsed, Parser};
 use parparaw_columnar::{Schema, Table};
 use parparaw_device::streaming::PartitionCost;
 use parparaw_device::{CostModel, PcieLink, StreamingPlan};
@@ -161,6 +165,9 @@ pub struct Checkpoint {
     /// Rows emitted before this checkpoint; seeds the resumed run's
     /// stream-global record indices for diagnostics.
     pub rows_emitted: u64,
+    /// Records consumed before this checkpoint, skipped ones included;
+    /// seeds the resumed run's stream-global `skip_records` indices.
+    pub records_consumed: u64,
     /// Partitions emitted before this checkpoint (informational).
     pub partitions_emitted: u64,
     /// The effective partition size in force at the checkpoint, so budget
@@ -170,9 +177,9 @@ pub struct Checkpoint {
     pub header_done: bool,
     /// Column names captured from the header (when `header_done`).
     pub header_names: Option<Vec<String>>,
-    /// The schema frozen from the first row-producing partition (`None`
-    /// when the parser was configured with an explicit schema, which the
-    /// resumed run re-reads from its own options).
+    /// The raw-width schema frozen from the first row-producing partition
+    /// (`None` when the parser was configured with an explicit schema,
+    /// which the resumed run re-reads from its own options).
     pub schema: Option<Schema>,
 }
 
@@ -211,37 +218,250 @@ impl std::error::Error for StreamInterrupted {
     }
 }
 
-/// One-shot recovery parse on a fresh spawn-per-launch executor with *no*
-/// fault injection — the stream's answer to a partition whose launches
-/// exhausted their retries (e.g. a poisoned worker pool). Spawn-per-launch
-/// cannot inherit corrupted pool state, so this isolates the fault to the
-/// failed partition instead of aborting the stream.
-fn relaunch_partition(
-    parser: &Parser,
-    work: &[u8],
-    has_more: bool,
-) -> Result<(ParseOutput, usize), ParseError> {
-    let workers = parser.options().grid.workers();
-    let mut recovery = KernelExecutor::new(Grid::with_mode(workers, LaunchMode::SpawnPerLaunch))
-        .with_retry(parser.options().retry);
-    // The caller's cancel token still applies during recovery (a recovery
-    // parse must stay interruptible), but the deadline and the fault
-    // injector do not: the fresh spawn-per-launch executor exists to give
-    // the partition one clean, unharassed run.
-    if let Some(token) = parser.options().cancel.clone() {
-        recovery = recovery.with_cancel(token);
+/// One partition's output from the cursor, diagnostics stream-global.
+pub(crate) struct Batch {
+    table: Table,
+    report: PartitionReport,
+    diagnostics: Vec<RecordDiagnostic>,
+    rejected: u64,
+    dropped_diagnostics: u64,
+}
+
+/// The streaming engine behind every streaming entry point: it turns raw
+/// partitions, in order, into [`Batch`]es.
+///
+/// Without a configured schema, the first partition with rows is parsed
+/// with type inference and its *raw-width* schema is frozen for the rest
+/// of the stream (a stream cannot retroactively re-type data it has
+/// already returned): selected columns keep their inferred field, the
+/// others get a placeholder that is never converted, so later partitions
+/// still validate `selected_columns` against the raw column count.
+pub(crate) struct StreamCursor {
+    /// Header-free parser; its schema is the configured one or, once
+    /// frozen, the inferred one.
+    parser: Parser,
+    /// The unfinished record at the end of the last partition.
+    carry: Vec<u8>,
+    /// Where the stream stands after the last partition.
+    state: Checkpoint,
+    /// `state` as of the last partition emitted with a fixed schema.
+    checkpoint: Checkpoint,
+    /// The budget ladder's lowest partition size.
+    floor: usize,
+    /// Arena pressure events seen so far.
+    last_pressure: u64,
+}
+
+impl StreamCursor {
+    /// A cursor at the start of the stream, or at `resume`.
+    pub(crate) fn new(parser: &Parser, partition_size: usize, resume: Option<Checkpoint>) -> Self {
+        let partition_size = partition_size.max(1);
+        let state = resume.unwrap_or(Checkpoint {
+            resume_offset: 0,
+            rows_emitted: 0,
+            records_consumed: 0,
+            partitions_emitted: 0,
+            partition_size,
+            header_done: !parser.options().header,
+            header_names: None,
+            schema: None,
+        });
+        let mut opts = parser.options().clone();
+        opts.header = false;
+        if state.schema.is_some() {
+            opts.schema = state.schema.clone();
+        }
+        StreamCursor {
+            parser: Parser::new(parser.dfa().clone(), opts),
+            carry: Vec::new(),
+            checkpoint: state.clone(),
+            state,
+            floor: partition_size.min(PARTITION_FLOOR_BYTES),
+            last_pressure: 0,
+        }
     }
-    parser.parse_with(&recovery, work, has_more)
+
+    /// The effective partition size: the requested one until budget
+    /// pressure halves it.
+    pub(crate) fn partition_size(&self) -> usize {
+        self.state.partition_size.max(1)
+    }
+
+    /// The point a resumed stream restarts from.
+    pub(crate) fn checkpoint(&self) -> &Checkpoint {
+        &self.checkpoint
+    }
+
+    /// Parse the next raw partition behind the carry. `None` while the
+    /// stream header is still incomplete (the partition is carried).
+    pub(crate) fn step(
+        &mut self,
+        exec: &KernelExecutor,
+        raw: &[u8],
+        is_last: bool,
+    ) -> Result<Option<Batch>, ParseError> {
+        // Row pruning is whole-input: its indexes don't translate to
+        // partition-local rows, and the carry is sliced from unpruned
+        // bytes.
+        if !self.parser.options().skip_rows.is_empty() {
+            return Err(ParseError::SkipRowsInStreaming);
+        }
+        let mut work = exec.arena().take_u8("stream/work");
+        work.extend_from_slice(&self.carry);
+        work.extend_from_slice(raw);
+        let carry_bytes = self.carry.len() as u64;
+        self.carry.clear();
+        let batch = self.parse(exec, &work, is_last, raw.len() as u64, carry_bytes);
+        exec.arena().put_u8("stream/work", work);
+        batch
+    }
+
+    fn parse(
+        &mut self,
+        exec: &KernelExecutor,
+        mut work: &[u8],
+        is_last: bool,
+        input_bytes: u64,
+        carry_bytes: u64,
+    ) -> Result<Option<Batch>, ParseError> {
+        if !self.state.header_done {
+            let Some((names, at)) = split_header(self.parser.dfa(), work, is_last) else {
+                self.carry.extend_from_slice(work);
+                return Ok(None);
+            };
+            self.state.header_names = Some(names);
+            self.state.header_done = true;
+            self.state.resume_offset += at as u64;
+            work = &work[at..];
+        }
+        let started = Instant::now();
+        let (mut retries, mut injected, mut timeouts) = (0u64, 0u64, 0u64);
+        let mut relaunched = false;
+        let parsed = match self
+            .parser
+            .parse_with(exec, work, !is_last, Some(&self.state))
+        {
+            // A fired CancelToken is a caller decision, not a fault: it
+            // interrupts the stream without relaunch recovery.
+            Err(ParseError::Launch(e)) if !e.is_cancelled() => {
+                // The failed run left its launch records (the exhausted
+                // attempts included) in the executor's log; this
+                // partition's report keeps their counts.
+                for r in exec.drain_log() {
+                    retries += u64::from(r.attempts.saturating_sub(1));
+                    injected += u64::from(r.injected_faults);
+                    timeouts += u64::from(r.timed_out_attempts);
+                }
+                // One recovery parse on a fresh spawn-per-launch executor,
+                // which cannot inherit corrupted pool state (a poisoned
+                // worker pool, say): the fault stays with this partition.
+                // The cancel token still applies (recovery must stay
+                // interruptible); the deadline and the fault injector do
+                // not, so the partition gets one clean, unharassed run.
+                relaunched = true;
+                let o = self.parser.options();
+                let grid = Grid::with_mode(o.grid.workers(), LaunchMode::SpawnPerLaunch);
+                let mut recovery = KernelExecutor::new(grid).with_retry(o.retry);
+                if let Some(token) = o.cancel.clone() {
+                    recovery = recovery.with_cancel(token);
+                }
+                self.parser
+                    .parse_with(&recovery, work, !is_last, Some(&self.state))
+            }
+            parsed => parsed,
+        };
+        let Parsed {
+            out,
+            carry_len,
+            records,
+            schema,
+        } = parsed?;
+        let parse_wall = started.elapsed();
+
+        if let (Some(schema), true) = (schema, out.stats.num_records > 0) {
+            let mut opts = self.parser.options().clone();
+            opts.schema = Some(schema.clone());
+            self.parser = Parser::new(self.parser.dfa().clone(), opts);
+            self.state.schema = Some(schema);
+        }
+        self.state.rows_emitted += out.stats.num_records;
+        self.state.records_consumed += records;
+        self.state.resume_offset += (work.len() - carry_len) as u64;
+        self.state.partitions_emitted += 1;
+        self.carry
+            .extend_from_slice(&work[work.len() - carry_len..]);
+
+        // Arena budget pressure since the last partition means the pool
+        // refused to hold this partition's buffers: halve the partition
+        // size for partitions not yet cut instead of allocating past the
+        // cap. At the floor the budget is advisory under the permissive
+        // policy and fatal under Strict.
+        let pressure = exec.arena().pressure_events();
+        let mut budget_degraded = false;
+        if pressure > self.last_pressure {
+            self.last_pressure = pressure;
+            let cur = self.state.partition_size;
+            if cur > self.floor {
+                self.state.partition_size = (cur / 2).max(self.floor);
+                budget_degraded = true;
+            } else if matches!(self.parser.options().error_policy, ErrorPolicy::Strict) {
+                return Err(ParseError::MemoryBudgetExceeded {
+                    budget_bytes: self.parser.options().memory_budget.unwrap_or(0),
+                    partition_size: cur,
+                });
+            }
+        }
+
+        // Advance the checkpoint only once the schema is fixed: resuming
+        // before that replays from the stream start, so the resumed run
+        // infers the same schema an uninterrupted run would.
+        if self.parser.options().schema.is_some() {
+            self.checkpoint = self.state.clone();
+        }
+
+        Ok(Some(Batch {
+            report: PartitionReport {
+                input_bytes,
+                carry_bytes,
+                output_bytes: out.stats.output_bytes,
+                parse_wall,
+                parse_seconds_simulated: out.simulated.total_seconds,
+                records: out.stats.num_records,
+                retries: out.timings.retries + retries,
+                degraded_launches: out.timings.degraded_launches,
+                injected_faults: out.timings.injected_faults + injected,
+                relaunched,
+                timeouts: out.timings.timeouts + timeouts,
+                budget_degraded,
+                partition_size: self.state.partition_size,
+            },
+            table: out.table,
+            diagnostics: out.diagnostics,
+            rejected: out.stats.rejected_records,
+            dropped_diagnostics: out.stats.dropped_diagnostics,
+        }))
+    }
+}
+
+/// Concatenate a stream's batches. Zero-row batches (fully carried over)
+/// may predate the schema freeze; they contribute nothing, so drop them.
+/// A stream without rows returns its last batch, as the iterator does.
+fn concat(mut tables: Vec<Table>) -> Table {
+    let refs: Vec<&Table> = tables.iter().filter(|t| t.num_rows() > 0).collect();
+    if refs.is_empty() {
+        return tables.pop().unwrap_or_else(Table::empty);
+    }
+    Table::concat(&refs).expect("partitions share the fixed schema")
 }
 
 impl Parser {
     /// Parse `input` as a stream of `partition_size`-byte partitions with
     /// carry-over, using a three-stage threaded pipeline.
     ///
-    /// When no schema is configured, the first partition is parsed with
-    /// type inference and its inferred schema is fixed for the rest of the
-    /// stream (a stream cannot retroactively re-type data it has already
-    /// returned).
+    /// When no schema is configured, the first partition with rows is
+    /// parsed with type inference and its inferred schema is fixed for the
+    /// rest of the stream (a stream cannot retroactively re-type data it
+    /// has already returned).
     pub fn parse_stream(
         &self,
         input: &[u8],
@@ -258,16 +478,15 @@ impl Parser {
     /// failure, or any other mid-stream error returns a boxed
     /// [`StreamInterrupted`] holding the partitions already emitted plus a
     /// [`Checkpoint`]. Calling this again with the *same input* and that
-    /// checkpoint parses exactly the remainder: concatenating the
-    /// completed and resumed tables (and diagnostics) is byte-identical to
-    /// an uninterrupted run.
+    /// checkpoint (or one from [`PartitionIter::checkpoint`]) parses
+    /// exactly the remainder: concatenating the completed and resumed
+    /// tables (and diagnostics) is byte-identical to an uninterrupted run.
     ///
     /// When a [`memory_budget`](crate::options::ParserOptions::memory_budget)
     /// is configured, arena budget pressure halves the effective partition
     /// size (down to a floor of `min(partition_size, 4096)` bytes) instead
-    /// of pooling past the cap; under
-    /// [`ErrorPolicy::Strict`](crate::options::ErrorPolicy::Strict),
-    /// pressure *at* the floor interrupts the stream with
+    /// of pooling past the cap; under [`ErrorPolicy::Strict`], pressure
+    /// *at* the floor interrupts the stream with
     /// [`ParseError::MemoryBudgetExceeded`].
     pub fn parse_stream_resumable(
         &self,
@@ -275,52 +494,20 @@ impl Parser {
         partition_size: usize,
         resume: Option<Checkpoint>,
     ) -> Result<StreamedOutput, Box<StreamInterrupted>> {
-        let initial_psize = partition_size.max(1);
         let t0 = Instant::now();
-
         // One executor for the whole stream: its worker pool persists
         // across partitions and its arena recycles the partition and work
         // buffers, so steady-state streaming does near-zero allocation.
-        // Retry policy, fault injection, cancellation, deadline, and arena
-        // budget all carry over from the options.
         let exec = self.options().build_executor();
         let exec = &exec;
-
-        // The effective partition size, shared with the transfer stage:
-        // halved under arena budget pressure, never below the floor. A
-        // resumed run starts at the checkpoint's (possibly degraded) size.
-        let start_psize = match &resume {
-            Some(c) => c.partition_size.max(1),
-            None => initial_psize,
-        };
-        let floor = initial_psize.min(PARTITION_FLOOR_BYTES);
-        let eff_psize = AtomicUsize::new(start_psize);
-        let eff_psize = &eff_psize;
-
-        let start_offset = match &resume {
-            Some(c) => (c.resume_offset as usize).min(input.len()),
-            None => 0,
-        };
+        let mut cursor = StreamCursor::new(self, partition_size, resume);
+        // The cursor's effective partition size, published to the
+        // transfer stage after every partition.
+        let eff_psize = &AtomicUsize::new(cursor.partition_size());
+        let start = (cursor.checkpoint().resume_offset as usize).min(input.len());
 
         let (tx_raw, rx_raw) = sync_channel::<(Vec<u8>, bool)>(1);
-        let (tx_out, rx_out) = sync_channel::<(Table, PartitionReport, u64)>(1);
-
-        let mut header_names_out: Option<Vec<String>> =
-            resume.as_ref().and_then(|c| c.header_names.clone());
-        let mut all_diags: Vec<RecordDiagnostic> = Vec::new();
-        let mut dropped_diags = 0u64;
-        let mut checkpoint = match &resume {
-            Some(c) => c.clone(),
-            None => Checkpoint {
-                resume_offset: 0,
-                rows_emitted: 0,
-                partitions_emitted: 0,
-                partition_size: start_psize,
-                header_done: !self.options().header,
-                header_names: None,
-                schema: None,
-            },
-        };
+        let (tx_out, rx_out) = sync_channel::<Batch>(1);
 
         std::thread::scope(|s| {
             // Stage 1 — "transfer": copy raw partitions into owned buffers
@@ -329,10 +516,9 @@ impl Parser {
             // partition size is re-read each iteration so budget
             // degradation applies to partitions not yet cut.
             s.spawn(move || {
-                let mut pos = start_offset;
+                let mut pos = start;
                 loop {
-                    let eff = eff_psize.load(Ordering::Relaxed).max(1);
-                    let end = (pos + eff).min(input.len());
+                    let end = (pos + eff_psize.load(Ordering::Relaxed)).min(input.len());
                     let mut buf = exec.arena().take_u8("stream/partition");
                     buf.extend_from_slice(&input[pos..end]);
                     pos = end;
@@ -346,283 +532,139 @@ impl Parser {
             // Stage 3 — "return": collect per-partition outputs (the
             // device→host stand-in).
             let collector = s.spawn(move || {
-                let mut tables: Vec<Table> = Vec::new();
-                let mut reports: Vec<PartitionReport> = Vec::new();
-                let mut rejected = 0u64;
-                while let Ok((table, report, rej)) = rx_out.recv() {
-                    tables.push(table);
-                    reports.push(report);
-                    rejected += rej;
+                let mut tables = Vec::new();
+                let mut out = StreamedOutput {
+                    table: Table::empty(),
+                    partitions: Vec::new(),
+                    rejected_records: 0,
+                    diagnostics: Vec::new(),
+                    dropped_diagnostics: 0,
+                    wall: Duration::ZERO,
+                };
+                while let Ok(b) = rx_out.recv() {
+                    tables.push(b.table);
+                    out.partitions.push(b.report);
+                    out.rejected_records += b.rejected;
+                    out.diagnostics.extend(b.diagnostics);
+                    out.dropped_diagnostics += b.dropped_diagnostics;
                 }
-                (tables, reports, rejected)
+                (tables, out)
             });
 
-            // Stage 2 — parse with carry-over (this thread).
-            let parse_result = (|| -> Result<(), ParseError> {
-                let mut carry: Vec<u8> = Vec::new();
-                // A resumed run re-enters with the checkpoint's frozen
-                // schema; a fresh run freezes it from the first partition
-                // with rows.
-                let mut parser: Option<Parser> = checkpoint.schema.clone().map(|schema| {
-                    let mut opts = self.options().clone();
-                    opts.header = false;
-                    opts.schema = Some(schema);
-                    Parser::new(self.dfa().clone(), opts)
-                });
-                // Global positions for diagnostic remapping: rows emitted
-                // so far, and the input byte index that `work[0]` maps to
-                // (the carry is always the unprocessed tail, so the work
-                // buffer is contiguous in the original input). A resumed
-                // run seeds both from the checkpoint so its record indices
-                // and byte offsets stay stream-global.
-                let mut rows_so_far = checkpoint.rows_emitted;
-                let mut consumed = checkpoint.resume_offset;
-                // The stream's header is consumed once, up front; every
-                // partition then parses header-free.
-                let mut header_pending = !checkpoint.header_done;
-                let mut last_pressure = exec.arena().pressure_events();
-                let base = if self.options().header {
-                    let mut opts = self.options().clone();
-                    opts.header = false;
-                    Parser::new(self.dfa().clone(), opts)
-                } else {
-                    self.clone()
-                };
+            // Stage 2 — parse (this thread).
+            let result = (|| {
                 while let Ok((buf, is_last)) = rx_raw.recv() {
-                    let raw_len = buf.len() as u64;
-                    let carry_bytes = carry.len() as u64;
-                    let mut work = exec.arena().take_u8("stream/work");
-                    work.extend_from_slice(&carry);
-                    work.extend_from_slice(&buf);
+                    let step = cursor.step(exec, &buf, is_last);
                     exec.arena().put_u8("stream/partition", buf);
-                    carry.clear();
-
-                    if header_pending {
-                        match strip_header(base.dfa(), &work, is_last) {
-                            HeaderSplit::Complete(names, rest_at) => {
-                                header_names_out = Some(names);
-                                work.drain(..rest_at);
-                                consumed += rest_at as u64;
-                                header_pending = false;
-                            }
-                            HeaderSplit::NeedMore => {
-                                std::mem::swap(&mut carry, &mut work);
-                                exec.arena().put_u8("stream/work", work);
-                                continue;
-                            }
-                        }
-                    }
-
-                    // Fix the schema after the first partition.
-                    let active: &Parser = match &parser {
-                        Some(p) => p,
-                        None => &base,
-                    };
-                    let tw = Instant::now();
-                    let mut relaunched = false;
-                    let (mut failed_retries, mut failed_injected, mut failed_timeouts) =
-                        (0u64, 0u64, 0u64);
-                    let (out, carry_len): (ParseOutput, usize) =
-                        match active.parse_with(exec, &work, !is_last) {
-                            Ok(r) => r,
-                            Err(e) if e.is_cancelled() => {
-                                // A fired CancelToken is a caller decision,
-                                // not a fault: interrupt immediately, no
-                                // relaunch recovery.
-                                return Err(e);
-                            }
-                            Err(ParseError::Launch(_)) => {
-                                // The failed run left its launch records
-                                // (including the exhausted attempts) in the
-                                // shared executor's log; drain them here so
-                                // they don't pollute the next partition's
-                                // timings, and keep their retry counts for
-                                // this partition's report.
-                                for r in exec.drain_log() {
-                                    failed_retries += u64::from(r.attempts.saturating_sub(1));
-                                    failed_injected += u64::from(r.injected_faults);
-                                    failed_timeouts += u64::from(r.timed_out_attempts);
-                                }
-                                relaunched = true;
-                                relaunch_partition(active, &work, !is_last)?
-                            }
-                            Err(e) => return Err(e),
-                        };
-                    let parse_wall = tw.elapsed();
-                    if parser.is_none()
-                        && out.stats.num_records > 0
-                        && active.options().schema.is_none()
-                    {
-                        let mut opts = base.options().clone();
-                        opts.schema = Some(fixed_schema(out.table.schema()));
-                        parser = Some(Parser::new(self.dfa().clone(), opts));
-                    }
-
-                    // Remap this partition's diagnostics into stream-global
-                    // coordinates before the local indices go stale.
-                    for mut d in out.diagnostics {
-                        d.record += rows_so_far;
-                        if let Some(b) = &mut d.byte_offset {
-                            *b += consumed;
-                        }
-                        all_diags.push(d);
-                    }
-                    dropped_diags += out.stats.dropped_diagnostics;
-                    rows_so_far += out.stats.num_records;
-                    consumed += (work.len() - carry_len) as u64;
-
-                    carry.extend_from_slice(&work[work.len() - carry_len..]);
-                    exec.arena().put_u8("stream/work", work);
-
-                    // Arena budget pressure since the last partition means
-                    // the pool refused to hold this partition's buffers:
-                    // halve the effective partition size for partitions not
-                    // yet cut instead of allocating past the cap. At the
-                    // floor the budget is advisory under the permissive
-                    // policy and fatal under Strict.
-                    let pressure_now = exec.arena().pressure_events();
-                    let mut budget_degraded = false;
-                    if pressure_now > last_pressure {
-                        last_pressure = pressure_now;
-                        let cur = eff_psize.load(Ordering::Relaxed);
-                        if cur > floor {
-                            eff_psize.store((cur / 2).max(floor), Ordering::Relaxed);
-                            budget_degraded = true;
-                        } else if matches!(base.options().error_policy, ErrorPolicy::Strict) {
-                            return Err(ParseError::MemoryBudgetExceeded {
-                                budget_bytes: base.options().memory_budget.unwrap_or(0),
-                                partition_size: cur,
-                            });
-                        }
-                    }
-
-                    let report = PartitionReport {
-                        input_bytes: raw_len,
-                        carry_bytes,
-                        output_bytes: out.stats.output_bytes,
-                        parse_wall,
-                        parse_seconds_simulated: out.simulated.total_seconds,
-                        records: out.stats.num_records,
-                        retries: out.timings.retries + failed_retries,
-                        degraded_launches: out.timings.degraded_launches,
-                        injected_faults: out.timings.injected_faults + failed_injected,
-                        relaunched,
-                        timeouts: out.timings.timeouts + failed_timeouts,
-                        budget_degraded,
-                        partition_size: eff_psize.load(Ordering::Relaxed),
-                    };
-                    let rejected = out.stats.rejected_records;
-                    if tx_out.send((out.table, report, rejected)).is_err() {
-                        break;
-                    }
-
-                    // Advance the checkpoint only once the schema is fixed
-                    // (explicit, resumed, or frozen above): resuming before
-                    // that replays from the stream start so the resumed run
-                    // infers the same schema an uninterrupted run would.
-                    if base.options().schema.is_some() || parser.is_some() {
-                        checkpoint.resume_offset = consumed;
-                        checkpoint.rows_emitted = rows_so_far;
-                        checkpoint.partitions_emitted += 1;
-                        checkpoint.partition_size = eff_psize.load(Ordering::Relaxed);
-                        checkpoint.header_done = true;
-                        if checkpoint.header_names.is_none() {
-                            checkpoint.header_names = header_names_out.clone();
-                        }
-                        if checkpoint.schema.is_none() {
-                            if let Some(p) = &parser {
-                                checkpoint.schema = p.options().schema.clone();
-                            }
+                    eff_psize.store(cursor.partition_size(), Ordering::Relaxed);
+                    if let Some(batch) = step? {
+                        if tx_out.send(batch).is_err() {
+                            break;
                         }
                     }
                 }
-                drop(tx_out);
                 Ok(())
             })();
-            // Make sure the raw channel is drained/closed before joining.
+            drop(tx_out);
             drop(rx_raw);
 
             // Invariant: the collector only receives and accumulates —
             // no user code runs there, so a panic means a bug here.
-            let (tables, reports, rejected) = collector.join().expect("collector panicked");
-
-            // Assemble whatever was emitted — the full stream on success,
-            // the completed prefix on interruption.
-            // Zero-row partitions (fully carried over) may predate the
-            // schema freeze; they contribute nothing, so drop them.
-            let refs: Vec<&Table> = tables.iter().filter(|t| t.num_rows() > 0).collect();
-            let mut table = if refs.is_empty() {
-                tables.into_iter().next().unwrap_or_else(Table::empty)
-            } else {
-                Table::concat(&refs).expect("partitions share the fixed schema")
-            };
-            if let (Some(names), None) = (&header_names_out, &self.options().schema) {
-                table = table.renamed(names);
-            }
-            let completed = StreamedOutput {
-                table,
-                partitions: reports,
-                rejected_records: rejected,
-                diagnostics: std::mem::take(&mut all_diags),
-                dropped_diagnostics: dropped_diags,
-                wall: t0.elapsed(),
-            };
-            match parse_result {
+            let (tables, mut completed) = collector.join().expect("collector panicked");
+            // The full stream on success, the completed prefix on
+            // interruption.
+            completed.table = concat(tables);
+            completed.wall = t0.elapsed();
+            match result {
                 Ok(()) => Ok(completed),
                 Err(error) => Err(Box::new(StreamInterrupted {
                     error,
                     completed,
-                    checkpoint: checkpoint.clone(),
+                    checkpoint: cursor.checkpoint().clone(),
                 })),
             }
         })
     }
-}
 
-/// Freeze an output table's schema for subsequent partitions (the
-/// inferred per-column types become the declared types).
-fn fixed_schema(s: &Schema) -> Schema {
-    s.clone()
-}
-
-enum HeaderSplit {
-    /// Header complete: names plus the byte offset where data starts.
-    Complete(Vec<String>, usize),
-    /// No record delimiter yet; buffer more input.
-    NeedMore,
-}
-
-/// Walk the first record of the stream. The stream starts at the DFA's
-/// start state, so a plain sequential walk is exact (quoted newlines in
-/// header names included).
-fn strip_header(dfa: &parparaw_dfa::Dfa, work: &[u8], is_last: bool) -> HeaderSplit {
-    let mut names: Vec<String> = Vec::new();
-    let mut cur: Option<Vec<u8>> = None;
-    let mut state = dfa.start_state();
-    let finish = |b: Option<Vec<u8>>, idx: usize| match b {
-        Some(bytes) if !bytes.is_empty() => String::from_utf8_lossy(&bytes).into_owned(),
-        _ => format!("c{idx}"),
-    };
-    for (i, &b) in work.iter().enumerate() {
-        let step = dfa.step(state, b);
-        state = step.next;
-        if step.emit.is_record_delimiter() {
-            let idx = names.len();
-            names.push(finish(cur.take(), idx));
-            return HeaderSplit::Complete(names, i + 1);
-        } else if step.emit.is_field_delimiter() {
-            let idx = names.len();
-            names.push(finish(cur.take(), idx));
-        } else if step.emit.is_data() {
-            cur.get_or_insert_with(Vec::new).push(b);
+    /// Iterate the input partition by partition (paper §4.4's pipeline as
+    /// a consumer-driven iterator): the same cursor as
+    /// [`Parser::parse_stream`], one batch per `next()`.
+    pub fn partitions<'a>(&self, input: &'a [u8], partition_size: usize) -> PartitionIter<'a> {
+        PartitionIter {
+            exec: self.options().build_executor(),
+            cursor: StreamCursor::new(self, partition_size, None),
+            input,
+            pos: 0,
+            diagnostics: Vec::new(),
+            done: false,
         }
     }
-    if is_last {
-        let idx = names.len();
-        names.push(finish(cur.take(), idx));
-        HeaderSplit::Complete(names, work.len())
-    } else {
-        HeaderSplit::NeedMore
+}
+
+/// A pull-based streaming parse: yields one [`Table`] per partition,
+/// carrying incomplete records across `next()` calls. This is the
+/// integration-friendly shape for pipelines that process batches as they
+/// arrive instead of materialising the whole output
+/// ([`Parser::parse_stream`] does the latter). Batches equal the threaded
+/// stream's, and the budget ladder, relaunch recovery and checkpoints
+/// apply here too.
+pub struct PartitionIter<'a> {
+    exec: KernelExecutor,
+    cursor: StreamCursor,
+    input: &'a [u8],
+    pos: usize,
+    diagnostics: Vec<RecordDiagnostic>,
+    done: bool,
+}
+
+impl PartitionIter<'_> {
+    /// The column names captured from the stream header (populated after
+    /// the first yielded batch when the parser was configured with
+    /// `header = true`).
+    pub fn header_names(&self) -> Option<&[String]> {
+        self.cursor.state.header_names.as_deref()
+    }
+
+    /// The last batch's per-record diagnostics, with record indices and
+    /// byte offsets in stream-global coordinates.
+    pub fn diagnostics(&self) -> &[RecordDiagnostic] {
+        &self.diagnostics
+    }
+
+    /// Where [`Parser::parse_stream_resumable`] would pick this stream up:
+    /// the last batch boundary at which the schema was fixed.
+    pub fn checkpoint(&self) -> &Checkpoint {
+        self.cursor.checkpoint()
+    }
+}
+
+impl Iterator for PartitionIter<'_> {
+    type Item = Result<Table, ParseError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.diagnostics.clear();
+        while !self.done {
+            let end = (self.pos + self.cursor.partition_size()).min(self.input.len());
+            let raw = &self.input[self.pos..end];
+            self.pos = end;
+            self.done = end == self.input.len();
+            match self.cursor.step(&self.exec, raw, self.done) {
+                Ok(None) => {}
+                Ok(Some(batch)) => {
+                    self.diagnostics.extend(batch.diagnostics);
+                    // A fully carried-over partition yields nothing: pull
+                    // more input.
+                    if batch.table.num_rows() > 0 || self.done {
+                        return Some(Ok(batch.table));
+                    }
+                }
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
+            }
+        }
+        None
     }
 }
 
@@ -889,134 +931,6 @@ mod tests {
     }
 }
 
-/// A pull-based streaming parse: yields one [`Table`] per partition,
-/// carrying incomplete records across `next()` calls. This is the
-/// integration-friendly shape for pipelines that process batches as they
-/// arrive instead of materialising the whole output
-/// ([`Parser::parse_stream`] does the latter).
-pub struct PartitionIter<'a> {
-    parser: Parser,
-    exec: KernelExecutor,
-    input: &'a [u8],
-    partition_size: usize,
-    pos: usize,
-    carry: Vec<u8>,
-    schema_frozen: bool,
-    header_pending: bool,
-    header_names: Option<Vec<String>>,
-    done: bool,
-}
-
-impl<'a> PartitionIter<'a> {
-    /// The column names captured from the stream header (populated after
-    /// the first yielded batch when the parser was configured with
-    /// `header = true`).
-    pub fn header_names(&self) -> Option<&[String]> {
-        self.header_names.as_deref()
-    }
-}
-
-impl Parser {
-    /// Iterate the input partition by partition (paper §4.4's pipeline as
-    /// a consumer-driven iterator).
-    pub fn partitions<'a>(&self, input: &'a [u8], partition_size: usize) -> PartitionIter<'a> {
-        let header_pending = self.options().header;
-        let mut opts = self.options().clone();
-        opts.header = false;
-        let exec = opts.build_executor();
-        PartitionIter {
-            parser: Parser::new(self.dfa().clone(), opts),
-            exec,
-            input,
-            partition_size: partition_size.max(1),
-            pos: 0,
-            carry: Vec::new(),
-            schema_frozen: false,
-            header_pending,
-            header_names: None,
-            done: false,
-        }
-    }
-}
-
-impl Iterator for PartitionIter<'_> {
-    type Item = Result<Table, ParseError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        while !self.done {
-            let end = (self.pos + self.partition_size).min(self.input.len());
-            let is_last = end == self.input.len();
-            let mut work = std::mem::take(&mut self.carry);
-            work.extend_from_slice(&self.input[self.pos..end]);
-            self.pos = end;
-            self.done = is_last;
-
-            if self.header_pending {
-                match strip_header(self.parser.dfa(), &work, is_last) {
-                    HeaderSplit::Complete(names, rest_at) => {
-                        self.header_names = Some(names);
-                        work.drain(..rest_at);
-                        self.header_pending = false;
-                    }
-                    HeaderSplit::NeedMore => {
-                        self.carry = work;
-                        continue;
-                    }
-                }
-            }
-
-            let parsed = self
-                .parser
-                .parse_with(&self.exec, &work, !is_last)
-                .or_else(|e| match e {
-                    ParseError::Launch(_) => {
-                        // Discard the failed run's launch records and retry
-                        // once on a fresh spawn-per-launch executor.
-                        let _ = self.exec.drain_log();
-                        relaunch_partition(&self.parser, &work, !is_last)
-                    }
-                    other => Err(other),
-                });
-            let result = match parsed {
-                Ok((out, carry_len)) => {
-                    self.carry = work[work.len() - carry_len..].to_vec();
-                    Ok(out.table)
-                }
-                Err(e) => Err(e),
-            };
-
-            match result {
-                Ok(table) => {
-                    // Freeze the inferred schema on the first batch with
-                    // rows, so later batches stay type-compatible.
-                    if !self.schema_frozen
-                        && table.num_rows() > 0
-                        && self.parser.options().schema.is_none()
-                    {
-                        let mut opts = self.parser.options().clone();
-                        opts.schema = Some(table.schema().clone());
-                        self.parser = Parser::new(self.parser.dfa().clone(), opts);
-                        self.schema_frozen = true;
-                    }
-                    let table = match &self.header_names {
-                        Some(names) => table.renamed(names),
-                        None => table,
-                    };
-                    if table.num_rows() == 0 && !self.done {
-                        continue; // fully carried over; pull more input
-                    }
-                    return Some(Ok(table));
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod iter_tests {
     use super::*;
@@ -1105,5 +1019,59 @@ mod iter_tests {
             first_batch_with_rows.value(0, 1),
             Value::Utf8(ref s) if s.len() == 500
         ));
+    }
+
+    #[test]
+    fn budget_ladder_and_checkpoint_apply_to_the_iterator() {
+        let input: Vec<u8> = (0..4000)
+            .map(|i| format!("{i},\"v,{i}\"\n"))
+            .collect::<String>()
+            .into_bytes();
+        let mut o = parser(false).options().clone();
+        o.memory_budget = Some(256);
+        let p = Parser::new(rfc4180(&CsvDialect::default()), o);
+        let mut it = p.partitions(&input, 16 * 1024);
+        let mut rows = 0;
+        for batch in it.by_ref() {
+            rows += batch.unwrap().num_rows();
+        }
+        assert_eq!(rows, 4000);
+        let end = it.checkpoint();
+        assert_eq!(end.partition_size, PARTITION_FLOOR_BYTES);
+        assert_eq!(end.resume_offset, input.len() as u64);
+        assert_eq!(end.rows_emitted, 4000);
+    }
+
+    #[test]
+    fn cancelled_iterator_stops_at_its_checkpoint() {
+        use parparaw_parallel::CancelToken;
+        let input: Vec<u8> = (0..200)
+            .map(|i| format!("{i},{i}\n"))
+            .collect::<String>()
+            .into_bytes();
+        let mut o = parser(false).options().clone();
+        o.cancel = Some(CancelToken::after_launches(30));
+        let mut it = Parser::new(rfc4180(&CsvDialect::default()), o).partitions(&input, 128);
+        let mut done = Vec::new();
+        let error = loop {
+            match it.next() {
+                Some(Ok(t)) => done.push(t),
+                Some(Err(e)) => break e,
+                None => panic!("the token fires mid-stream"),
+            }
+        };
+        assert!(error.is_cancelled());
+        assert!(it.next().is_none());
+        // The checkpoint resumes the rest through the threaded driver.
+        let p = parser(false);
+        let rest = p
+            .parse_stream_resumable(&input, 128, Some(it.checkpoint().clone()))
+            .unwrap();
+        done.push(rest.table);
+        let refs: Vec<&Table> = done.iter().filter(|t| t.num_rows() > 0).collect();
+        assert_eq!(
+            Table::concat(&refs).unwrap(),
+            p.parse_stream(&input, 128).unwrap().table
+        );
     }
 }

@@ -6,8 +6,9 @@
 //! * `PARPARAW_FUZZ_MS` — soft time budget in milliseconds (default 400).
 //!
 //! Every case must complete without panicking — any outcome that is
-//! `Ok(..)` or a typed `ParseError` is acceptable — and successful parses
-//! must be invariant to chunk size and worker count.
+//! `Ok(..)` or a typed `ParseError` is acceptable — successful parses
+//! must be invariant to chunk size and worker count, and the partition
+//! iterator must reproduce a successful `parse_stream` exactly.
 
 use parparaw::parallel::SplitMix64;
 use parparaw::prelude::*;
@@ -62,6 +63,27 @@ fn random_options(rng: &mut SplitMix64) -> ParserOptions {
     o
 }
 
+/// Drain `partitions()`: the non-empty batches concatenated (a stream
+/// without rows is its last batch) and every batch's diagnostics.
+fn drain(
+    parser: &Parser,
+    input: &[u8],
+    psize: usize,
+) -> Result<(Table, Vec<RecordDiagnostic>), ParseError> {
+    let mut it = parser.partitions(input, psize);
+    let (mut tables, mut diagnostics) = (Vec::new(), Vec::new());
+    while let Some(batch) = it.next() {
+        tables.push(batch?);
+        diagnostics.extend_from_slice(it.diagnostics());
+    }
+    let refs: Vec<&Table> = tables.iter().filter(|t| t.num_rows() > 0).collect();
+    let table = match refs.is_empty() {
+        true => tables.pop().unwrap_or_else(Table::empty),
+        false => Table::concat(&refs).expect("batches share the frozen schema"),
+    };
+    Ok((table, diagnostics))
+}
+
 #[test]
 fn fuzz_smoke_never_panics() {
     let seed = env_u64("PARPARAW_FUZZ_SEED", 0xF022_0001);
@@ -82,7 +104,8 @@ fn fuzz_smoke_never_panics() {
         let mono = parser.parse(&input);
 
         // Streamed: must agree with the monolithic outcome's row count
-        // when both succeed (inference differences aside).
+        // when both succeed (inference differences aside), and the
+        // partition iterator must reproduce the stream exactly.
         if rng.chance(0.5) {
             let psize = rng.next_range(1, 128) as usize;
             let streamed = parser.parse_stream(&input, psize);
@@ -91,6 +114,14 @@ fn fuzz_smoke_never_panics() {
                     m.table.num_rows(),
                     s.table.num_rows(),
                     "seed={seed} case={cases} psize={psize} input={:?}",
+                    String::from_utf8_lossy(&input)
+                );
+            }
+            if let (Ok(s), Ok((table, diagnostics))) = (&streamed, drain(&parser, &input, psize)) {
+                assert_eq!(
+                    (&s.table, &s.diagnostics),
+                    (&table, &diagnostics),
+                    "seed={seed} case={cases} psize={psize} iterator input={:?}",
                     String::from_utf8_lossy(&input)
                 );
             }
