@@ -8,22 +8,32 @@
 //! gives each chunk its context — no sequential pass over the input, the
 //! paper's core contribution.
 //!
+//! The chunk (`chunk_size`, 31 B by default) stays the modelled unit — it
+//! defines the chunk count, the work counters and every per-chunk output
+//! — but the host runs one walk per worker range of chunks, not one per
+//! chunk: a [`LaneWalk`] collapses once at the range start and records its
+//! packed image at every chunk start inside the range. The scan then runs
+//! over the ≤ `workers` range vectors, and each chunk's start state is
+//! read off its recorded image. The `parse/pass1` work counter still
+//! charges what the per-chunk kernel ([`Dfa::transition_vector_fast`])
+//! executes, chunk by chunk ([`Dfa::fast_lane_ops`]).
+//!
 //! Both kernels run as instrumented [`KernelExecutor`] launches
 //! (`parse/pass1` and `scan/context`); wall time and work counters land in
 //! the executor's launch log instead of being threaded through the return
 //! value.
 
-use crate::chunks::{chunk_ranges, num_chunks};
+use crate::chunks::num_chunks;
 use crate::options::ScanAlgorithm;
-use parparaw_dfa::{Dfa, PairTable, StateVector, VectorComposeOp};
+use parparaw_dfa::{Dfa, LaneWalk, PairTable, StateVector, VectorComposeOp};
+use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::ScanOp;
 use parparaw_parallel::{lookback, scan, Grid, KernelExecutor, LaunchError};
+use std::ops::Range;
 
 /// The result of context determination.
 #[derive(Debug)]
 pub struct ContextPass {
-    /// Per-chunk state-transition vectors (pass-1 output).
-    pub vectors: Vec<StateVector>,
     /// Per-chunk resolved starting states.
     pub start_states: Vec<u8>,
     /// The DFA state after the whole input — used for validation.
@@ -53,6 +63,19 @@ pub fn determine_contexts_with(
     determine_contexts_fast(exec, dfa, input, chunk_size, algorithm, None)
 }
 
+/// One worker range's pass-1 walk.
+#[derive(Debug, Clone)]
+struct RangeWalk<'d> {
+    /// The range's chunks.
+    chunks: Range<usize>,
+    /// The walk after the range's last byte.
+    walk: LaneWalk<'d>,
+    /// First chunk whose recorded image is a collapsed one.
+    collapsed_from: usize,
+    /// Σ [`Dfa::fast_lane_ops`] over the range's chunks.
+    ops: u64,
+}
+
 /// Run pass 1 on the fast lane (per-byte tables + convergence collapse;
 /// see `parparaw_dfa::table`), optionally stepping the collapsed loop two
 /// bytes at a time through a precomposed [`PairTable`].
@@ -64,24 +87,56 @@ pub fn determine_contexts_fast(
     algorithm: ScanAlgorithm,
     pair: Option<&PairTable>,
 ) -> Result<ContextPass, LaunchError> {
-    let n_chunks = num_chunks(input.len(), chunk_size);
-    let ranges: Vec<std::ops::Range<usize>> = chunk_ranges(input.len(), chunk_size).collect();
+    let n = input.len();
+    let cs = chunk_size.max(1);
+    let n_chunks = num_chunks(n, cs);
 
-    // Kernel 1: one virtual thread per chunk. The kernel reports the lane
-    // operations it actually executed — full width only until the vector
-    // image collapses, then one op per live state — so the cost replay
-    // sees the reduced work instead of the step-wise |S|+1 per byte.
-    let vectors: Vec<StateVector> = exec.launch("parse/pass1", n_chunks, |grid, counters| {
-        counters.bytes_read = input.len() as u64;
+    // Kernel 1: one walk per worker range, recording the walk's image at
+    // every chunk start. The counter is the per-chunk kernel's: full
+    // width only until a chunk's own image collapses, then one op per
+    // live state — so the cost replay sees the modelled 31 B threads.
+    let (images, walks) = exec.launch("parse/pass1", n_chunks, |grid, counters| {
+        counters.bytes_read = n as u64;
         counters.bytes_written = (n_chunks * 8) as u64;
-        let per_chunk: Vec<(StateVector, u64)> = grid.map_indexed(n_chunks, |c| {
-            dfa.transition_vector_fast(&input[ranges[c].clone()], pair)
-        });
-        counters.parallel_ops = per_chunk.iter().map(|&(_, ops)| ops).sum();
-        per_chunk.into_iter().map(|(v, _)| v).collect()
+        let parts = grid.partition(n_chunks);
+        let mut images = vec![0u64; n_chunks];
+        let mut walks: Vec<Option<RangeWalk>> = vec![None; parts.len()];
+        {
+            let image_w = SlotWriter::new(&mut images);
+            let walk_w = SlotWriter::new(&mut walks);
+            grid.run_partitioned(n_chunks, |w, chunks| {
+                let mut walk = LaneWalk::new(dfa, pair);
+                let mut collapsed_from = chunks.end;
+                let mut ops = 0u64;
+                for c in chunks.clone() {
+                    grid.check_abort(c);
+                    if walk.is_collapsed() {
+                        collapsed_from = collapsed_from.min(c);
+                    }
+                    // SAFETY: `run_partitioned` hands each chunk index to
+                    // exactly one worker.
+                    unsafe { image_w.write(c, walk.image()) };
+                    let (lo, hi) = (c * cs, ((c + 1) * cs).min(n));
+                    ops += dfa.fast_lane_ops(&input[lo..hi], pair.is_some());
+                    walk.step(input, lo, hi);
+                }
+                let range = RangeWalk {
+                    chunks,
+                    walk,
+                    collapsed_from,
+                    ops,
+                };
+                // SAFETY: one slot per worker range, written by its worker.
+                unsafe { walk_w.write(w, Some(range)) };
+            });
+        }
+        let walks: Vec<RangeWalk> = walks.into_iter().flatten().collect();
+        counters.parallel_ops = walks.iter().map(|r| r.ops).sum();
+        (images, walks)
     })?;
 
-    // Exclusive scan with the composite operator.
+    // Kernel 2: exclusive scan of the range vectors under the composite
+    // operator, then every chunk's start state from its recorded image.
     let start = dfa.start_state();
     let (start_states, final_state) = exec.launch("scan/context", n_chunks, |grid, counters| {
         counters.kernel_launches = 3; // upsweep, spine, downsweep
@@ -90,6 +145,7 @@ pub fn determine_contexts_fast(
         counters.parallel_ops = n_chunks as u64 * dfa.num_states() as u64 * 2;
 
         let op = VectorComposeOp::new(dfa.num_states());
+        let vectors: Vec<StateVector> = walks.iter().map(|r| r.walk.vector()).collect();
         let (scanned, total) = match algorithm {
             ScanAlgorithm::Blocked => scan::exclusive_scan_total(grid, &vectors, &op),
             ScanAlgorithm::DecoupledLookback => {
@@ -101,7 +157,24 @@ pub fn determine_contexts_fast(
                 (scanned, total)
             }
         };
-        let start_states: Vec<u8> = grid.map_indexed(n_chunks, |c| scanned[c].get(start));
+
+        let mut start_states = vec![0u8; n_chunks];
+        {
+            let state_w = SlotWriter::new(&mut start_states);
+            grid.run_partitioned(walks.len(), |_, ranges| {
+                for (r, prefix) in walks[ranges.clone()].iter().zip(&scanned[ranges]) {
+                    let from = prefix.get(start);
+                    for c in r.chunks.clone() {
+                        grid.check_abort(c);
+                        let collapsed = c >= r.collapsed_from;
+                        let state = r.walk.resolve(images[c], collapsed, from);
+                        // SAFETY: worker ranges are disjoint and each is
+                        // expanded by one worker.
+                        unsafe { state_w.write(c, state) };
+                    }
+                }
+            });
+        }
         let final_state = if n_chunks == 0 {
             start
         } else {
@@ -111,16 +184,15 @@ pub fn determine_contexts_fast(
     })?;
 
     Ok(ContextPass {
-        vectors,
         start_states,
         final_state,
     })
 }
 
 impl ContextPass {
-    /// Verify with a [`StateVector`] composition that running the input
-    /// from `start` sequentially would end where pass 1 says — used by
-    /// tests and by whole-input validation.
+    /// Whether the whole input leaves the DFA in an accepting state, read
+    /// off the `final_state` the scan produced — used by tests and by
+    /// whole-input validation.
     pub fn is_accepted_by(&self, dfa: &Dfa) -> bool {
         dfa.is_accepting(self.final_state)
     }
@@ -129,6 +201,7 @@ impl ContextPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunks::chunk_ranges;
     use parparaw_dfa::csv::rfc4180_paper;
 
     fn seq_state(dfa: &Dfa, input: &[u8], from: u8) -> u8 {
@@ -177,7 +250,7 @@ mod tests {
         let dfa = rfc4180_paper();
         let grid = Grid::new(2);
         let ctx = determine_contexts(&grid, &dfa, b"", 31);
-        assert!(ctx.vectors.is_empty());
+        assert!(ctx.start_states.is_empty());
         assert_eq!(ctx.final_state, dfa.start_state());
         assert!(ctx.is_accepted_by(&dfa));
     }

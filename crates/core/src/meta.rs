@@ -13,11 +13,20 @@
 //! The offset scans then turn the per-chunk values into absolute starting
 //! offsets: an exclusive prefix sum for records, and an exclusive scan
 //! under the rel/abs composition operator for columns.
+//!
+//! As in pass 1 (see [`crate::context`]) the chunk is the modelled unit
+//! while the host walks one worker range of chunks at a time: the walk
+//! starts from the range's first start state, fills each chunk's
+//! [`ChunkMeta`] at its boundary and folds it into range totals. The
+//! offset scans run over the ≤ `workers` range totals, and a per-range
+//! fix-up re-scans the chunk metadata from each range's base.
 
-use crate::chunks::{chunk_ranges, num_chunks};
-use parparaw_dfa::Dfa;
+use crate::chunks::num_chunks;
+use parparaw_dfa::{Dfa, StopBytes};
+use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::{self, ScanOp};
-use parparaw_parallel::{reduce, AtomicBitmap, Bitmap, KernelExecutor, LaunchError};
+use parparaw_parallel::{AtomicBitmap, Bitmap, KernelExecutor, LaunchError};
+use std::ops::Range;
 
 /// A column offset that is either relative (no record delimiter seen, the
 /// offset adds to the predecessor's) or absolute (paper Fig. 4).
@@ -119,8 +128,174 @@ pub struct MetaPass {
     pub observed_columns_closed: Option<(u32, u32)>,
 }
 
+/// One worker range's pass-2 totals, folded from its chunks' metadata —
+/// the element of the ≤ `workers`-long offset scans.
+#[derive(Debug, Clone, Default)]
+struct RangeMeta {
+    /// The range's chunks.
+    chunks: Range<usize>,
+    /// Record delimiters in the range.
+    records: u64,
+    /// The range's rel/abs column offset (⊕ over its chunks).
+    col: ColOffset,
+    /// Field delimiters from the range start to its first record
+    /// delimiter; meaningful when `records > 0`.
+    first_rel: u32,
+    /// Min/max column count over the records closed in the range after
+    /// its first one (`u32::MAX`/0 when there are none).
+    min_cols: u32,
+    /// See `min_cols`.
+    max_cols: u32,
+}
+
+impl RangeMeta {
+    fn new(chunks: Range<usize>) -> Self {
+        RangeMeta {
+            chunks,
+            min_cols: u32::MAX,
+            ..RangeMeta::default()
+        }
+    }
+
+    /// Append the next chunk's metadata.
+    fn fold(&mut self, m: &ChunkMeta) {
+        if m.record_count > 0 {
+            if self.records == 0 {
+                self.first_rel = self.col.value + m.first_rel;
+            } else {
+                // `col` is absolute here: the chunk's first record spans
+                // back to the range's last record delimiter.
+                let cols = self.col.value + m.first_rel + 1;
+                self.note_cols(cols, cols);
+            }
+            if m.mid_valid {
+                self.note_cols(m.min_mid, m.max_mid);
+            }
+        }
+        self.col = ColOffsetOp.combine(&self.col, &m.col_offset);
+        self.records += m.record_count as u64;
+    }
+
+    fn note_cols(&mut self, min: u32, max: u32) {
+        self.min_cols = self.min_cols.min(min);
+        self.max_cols = self.max_cols.max(max);
+    }
+}
+
+/// One worker's pass-2 walk over its range: the DFA state and the
+/// bitmap words being filled, carried from chunk to chunk.
+struct Pass2Walk<'a> {
+    dfa: &'a Dfa,
+    /// Records, fields, control, rejects.
+    maps: &'a [AtomicBitmap; 4],
+    /// The range's first and last bitmap words, which a neighbouring
+    /// range may share.
+    edges: (usize, usize),
+    /// Per state, the bytes that end a quiet run (see [`StopBytes`]).
+    stops: &'a [Option<StopBytes>],
+    state: u8,
+    /// The word being filled and its bits, per bitmap.
+    wi: usize,
+    acc: [u64; 4],
+}
+
+impl Pass2Walk<'_> {
+    /// Write the filled word: a plain store inside the range, an atomic
+    /// OR on the edge words a neighbour may also write.
+    fn flush(&self, wi: usize, acc: [u64; 4]) {
+        let shared = wi == self.edges.0 || wi == self.edges.1;
+        for (map, bits) in self.maps.iter().zip(acc) {
+            if shared {
+                map.or_word(wi, bits);
+            } else {
+                map.store_word(wi, bits);
+            }
+        }
+    }
+
+    /// Walk the chunk `input[start..end]` and return its metadata. Quiet
+    /// runs — bytes that keep the state and emit nothing — are skipped
+    /// with a SWAR search; every other byte costs one fused table step.
+    fn chunk(&mut self, input: &[u8], start: usize, end: usize) -> ChunkMeta {
+        // Locals, not fields, through the byte loop: they stay in registers.
+        let dfa = self.dfa;
+        let mut state = self.state;
+        let mut wi = self.wi;
+        let mut acc = self.acc;
+        let mut meta = ChunkMeta::default();
+        // Field delimiters since the last record delimiter (or chunk start).
+        let mut rel: u32 = 0;
+        {
+            // One fused table step of byte `b` at `i` from `from`.
+            let mut step = |i: usize, b: u8, from: u8| {
+                let emit = Dfa::emit_in_row(dfa.byte_emit_row(b), from);
+                let next = Dfa::next_in_row(dfa.byte_row(b), from);
+                if emit.bits() == 0 {
+                    return next; // pure data: no bitmap bit, no meta change
+                }
+                let w = i >> 6;
+                if w != wi {
+                    self.flush(wi, acc);
+                    acc = [0; 4];
+                    wi = w;
+                }
+                let bit = 1u64 << (i & 63);
+                if emit.is_reject() {
+                    acc[3] |= bit;
+                }
+                if emit.is_record_delimiter() {
+                    acc[0] |= bit;
+                    if meta.record_count == 0 {
+                        meta.first_rel = rel;
+                    } else {
+                        let cols = rel + 1;
+                        if meta.mid_valid {
+                            meta.min_mid = meta.min_mid.min(cols);
+                            meta.max_mid = meta.max_mid.max(cols);
+                        } else {
+                            meta.min_mid = cols;
+                            meta.max_mid = cols;
+                            meta.mid_valid = true;
+                        }
+                    }
+                    meta.record_count += 1;
+                    rel = 0;
+                } else if emit.is_field_delimiter() {
+                    acc[1] |= bit;
+                    rel += 1;
+                } else if emit.is_control() {
+                    acc[2] |= bit;
+                }
+                next
+            };
+            let mut i = start;
+            while i < end {
+                if let Some(stops) = &self.stops[state as usize] {
+                    i += stops.quiet_run(&input[i..], end - i);
+                    if i == end {
+                        break;
+                    }
+                }
+                state = step(i, input[i], state);
+                i += 1;
+            }
+        }
+        self.state = state;
+        self.wi = wi;
+        self.acc = acc;
+        meta.col_offset = ColOffset {
+            abs: meta.record_count > 0,
+            value: rel,
+        };
+        meta
+    }
+}
+
 /// Run pass 2 plus the offset scans as two executor launches
 /// (`parse/pass2` and `scan/offsets`).
+///
+/// # Panics
+/// When `start_states` does not hold one state per chunk.
 pub fn identify_columns_and_records(
     exec: &KernelExecutor,
     dfa: &Dfa,
@@ -129,119 +304,73 @@ pub fn identify_columns_and_records(
     start_states: &[u8],
 ) -> Result<MetaPass, LaunchError> {
     let n = input.len();
-    let n_chunks = num_chunks(n, chunk_size);
-    debug_assert_eq!(start_states.len(), n_chunks);
-    let ranges: Vec<std::ops::Range<usize>> = chunk_ranges(n, chunk_size).collect();
+    let cs = chunk_size.max(1);
+    let n_chunks = num_chunks(n, cs);
+    // The walks read only the entries at range starts; a short slice
+    // would silently give wrong output, so check it in release builds too.
+    assert_eq!(start_states.len(), n_chunks, "one start state per chunk");
 
-    let records = AtomicBitmap::new(n);
-    let fields = AtomicBitmap::new(n);
-    let control = AtomicBitmap::new(n);
-    let rejects = AtomicBitmap::new(n);
+    let maps: [AtomicBitmap; 4] = std::array::from_fn(|_| AtomicBitmap::new(n));
+    let stops: Vec<Option<StopBytes>> = (0..dfa.num_states())
+        .map(|s| dfa.stop_bytes(s, true))
+        .collect();
 
-    // Kernel: single-instance DFA per chunk from its known start state.
-    // Word-wise: each chunk owns a disjoint bit range of the four bitmaps
-    // (except the one word a boundary may split), so bits accumulate in
-    // chunk-local words and flush with one `or_word` per touched word —
-    // the atomic is only contended on shared boundary words. Input is read
-    // eight bytes per load; each byte costs one fused table step
-    // (`byte_emit_row` / `byte_row` fold the group lookup into the fetch).
-    let chunk_meta: Vec<ChunkMeta> = exec.launch("parse/pass2", n_chunks, |grid, counters| {
+    // Kernel: one single-instance DFA walk per worker range of chunks,
+    // from the range's first start state. The chunk stays the modelled
+    // unit: the walk fills each chunk's metadata at its boundary and polls
+    // for aborts per chunk. Bitmap bits accumulate in a local word per
+    // bitmap, flushed once per word with a plain store — only the ≤ 2 edge
+    // words a neighbouring range shares take an atomic OR. Quiet runs are
+    // skipped eight bytes per load; every other byte costs one fused table
+    // step (`byte_emit_row` / `byte_row` fold the group lookup into the
+    // fetch).
+    let (chunk_meta, ranges) = exec.launch("parse/pass2", n_chunks, |grid, counters| {
         counters.bytes_read = n as u64;
         // Four bitmaps plus the per-chunk metadata.
         counters.bytes_written = (n as u64).div_ceil(2) + (n_chunks as u64) * 24;
-        // One fused table step per byte; bitmap writes amortise per word.
+        // The modelled per-chunk kernel: one fused table step per byte;
+        // bitmap writes amortise per word.
         counters.parallel_ops = n as u64 + (n as u64).div_ceil(16);
-        grid.map_indexed(n_chunks, |c| {
-            let range = ranges[c].clone();
-            let mut state = start_states[c];
-            let mut meta = ChunkMeta::default();
-            let mut rel: u32 = 0;
-
-            // Accumulators for the bitmap word currently being filled:
-            // records, fields, control, rejects.
-            let mut wi = range.start >> 6;
-            let mut acc = [0u64; 4];
-            {
-                let mut step = |i: usize, b: u8| {
-                    let emit = Dfa::emit_in_row(dfa.byte_emit_row(b), state);
-                    state = Dfa::next_in_row(dfa.byte_row(b), state);
-                    if emit.bits() == 0 {
-                        return; // pure data: no bitmap bit, no meta change
+        let parts = grid.partition(n_chunks);
+        let mut chunk_meta = vec![ChunkMeta::default(); n_chunks];
+        let mut ranges = vec![RangeMeta::default(); parts.len()];
+        {
+            let meta_w = SlotWriter::new(&mut chunk_meta);
+            let range_w = SlotWriter::new(&mut ranges);
+            grid.run_partitioned(n_chunks, |w, chunks| {
+                let mut range = RangeMeta::new(chunks.clone());
+                if !chunks.is_empty() {
+                    let (lo, hi) = (chunks.start * cs, (chunks.end * cs).min(n));
+                    let mut walk = Pass2Walk {
+                        dfa,
+                        maps: &maps,
+                        edges: (lo >> 6, (hi - 1) >> 6),
+                        stops: &stops,
+                        state: start_states[chunks.start],
+                        wi: lo >> 6,
+                        acc: [0; 4],
+                    };
+                    for c in chunks {
+                        grid.check_abort(c);
+                        let m = walk.chunk(input, c * cs, ((c + 1) * cs).min(n));
+                        // SAFETY: `run_partitioned` hands each chunk index
+                        // to exactly one worker.
+                        unsafe { meta_w.write(c, m) };
+                        range.fold(&m);
                     }
-                    let w = i >> 6;
-                    if w != wi {
-                        records.or_word(wi, acc[0]);
-                        fields.or_word(wi, acc[1]);
-                        control.or_word(wi, acc[2]);
-                        rejects.or_word(wi, acc[3]);
-                        acc = [0u64; 4];
-                        wi = w;
-                    }
-                    let bit = 1u64 << (i & 63);
-                    if emit.is_reject() {
-                        acc[3] |= bit;
-                    }
-                    if emit.is_record_delimiter() {
-                        acc[0] |= bit;
-                        if meta.record_count == 0 {
-                            meta.first_rel = rel;
-                        } else {
-                            let cols = rel + 1;
-                            if meta.mid_valid {
-                                meta.min_mid = meta.min_mid.min(cols);
-                                meta.max_mid = meta.max_mid.max(cols);
-                            } else {
-                                meta.min_mid = cols;
-                                meta.max_mid = cols;
-                                meta.mid_valid = true;
-                            }
-                        }
-                        meta.record_count += 1;
-                        rel = 0;
-                    } else if emit.is_field_delimiter() {
-                        acc[1] |= bit;
-                        rel += 1;
-                    } else if emit.is_control() {
-                        acc[2] |= bit;
-                    }
-                };
-
-                let bytes = &input[range.clone()];
-                let mut i = range.start;
-                let mut words = bytes.chunks_exact(8);
-                for wbytes in words.by_ref() {
-                    let word = u64::from_le_bytes(wbytes.try_into().expect("8-byte slice"));
-                    for j in 0..8 {
-                        step(i + j, (word >> (8 * j)) as u8);
-                    }
-                    i += 8;
+                    walk.flush(walk.wi, walk.acc);
                 }
-                for &b in words.remainder() {
-                    step(i, b);
-                    i += 1;
-                }
-            }
-            // Flush the final (possibly boundary-shared) word.
-            records.or_word(wi, acc[0]);
-            fields.or_word(wi, acc[1]);
-            control.or_word(wi, acc[2]);
-            rejects.or_word(wi, acc[3]);
-
-            meta.col_offset = ColOffset {
-                abs: meta.record_count > 0,
-                value: rel,
-            };
-            meta
-        })
+                // SAFETY: one slot per worker range, written by its worker.
+                unsafe { range_w.write(w, range) };
+            });
+        }
+        (chunk_meta, ranges)
     })?;
 
-    let records = records.into_bitmap();
-    let fields = fields.into_bitmap();
-    let control = control.into_bitmap();
-    let rejects = rejects.into_bitmap();
+    let [records, fields, control, rejects] = maps.map(AtomicBitmap::into_bitmap);
 
-    // The closure only borrows the bitmaps and chunk metadata, so a
-    // retried launch recomputes from unchanged inputs.
+    // The closure only borrows the bitmaps, chunk metadata and range
+    // totals, so a retried launch recomputes from unchanged inputs.
     let (
         record_offsets,
         col_offsets,
@@ -256,17 +385,40 @@ pub fn identify_columns_and_records(
         counters.bytes_written = (n_chunks as u64) * 12;
         counters.parallel_ops = n_chunks as u64 * 4;
 
-        // Offset scans.
-        let counts: Vec<u64> = chunk_meta.iter().map(|m| m.record_count as u64).collect();
-        let (record_offsets, total_record_delims) =
+        // Offset scans over the range totals.
+        let counts: Vec<u64> = ranges.iter().map(|r| r.records).collect();
+        let (record_bases, total_record_delims) =
             scan::exclusive_scan_total(grid, &counts, &scan::AddOp);
+        let offs: Vec<ColOffset> = ranges.iter().map(|r| r.col).collect();
+        let (col_bases, col_total) = scan::exclusive_scan_total(grid, &offs, &ColOffsetOp);
 
-        let offs: Vec<ColOffset> = chunk_meta.iter().map(|m| m.col_offset).collect();
-        let (col_scan, col_total) = scan::exclusive_scan_total(grid, &offs, &ColOffsetOp);
-        // A still-relative scanned value means "no record delimiter anywhere
-        // before this chunk": the input's first record starts at column 0, so
-        // relative values are absolute here.
-        let col_offsets: Vec<u32> = col_scan.iter().map(|c| c.value).collect();
+        // Per-chunk fix-up: each range re-scans its chunks' metadata from
+        // its base. A still-relative scanned value means "no record
+        // delimiter anywhere before this chunk": the input's first record
+        // starts at column 0, so relative values are absolute here.
+        let mut record_offsets = vec![0u64; n_chunks];
+        let mut col_offsets = vec![0u32; n_chunks];
+        {
+            let rec_w = SlotWriter::new(&mut record_offsets);
+            let col_w = SlotWriter::new(&mut col_offsets);
+            grid.run_partitioned(ranges.len(), |_, which| {
+                for r in which {
+                    let mut rec = record_bases[r];
+                    let mut col = col_bases[r];
+                    for c in ranges[r].chunks.clone() {
+                        grid.check_abort(c);
+                        // SAFETY: ranges are disjoint and each is fixed
+                        // up by one worker.
+                        unsafe {
+                            rec_w.write(c, rec);
+                            col_w.write(c, col.value);
+                        }
+                        rec += chunk_meta[c].record_count as u64;
+                        col = ColOffsetOp.combine(&col, &chunk_meta[c].col_offset);
+                    }
+                }
+            });
+        }
 
         // Trailing record: any field delimiter or data symbol after the last
         // record delimiter.
@@ -289,28 +441,16 @@ pub fn identify_columns_and_records(
 
         let num_records = total_record_delims + u64::from(has_trailing_record);
 
-        // Observed min/max columns per record (for inference & validation).
-        let per_chunk_minmax: Vec<(u32, u32)> = chunk_meta
-            .iter()
-            .enumerate()
-            .map(|(c, m)| {
-                let mut mn = u32::MAX;
-                let mut mx = 0u32;
-                if m.record_count > 0 {
-                    // The first record closed in this chunk spans back to the
-                    // chunk's starting column offset.
-                    let cols = col_offsets[c] + m.first_rel + 1;
-                    mn = mn.min(cols);
-                    mx = mx.max(cols);
-                }
-                if m.mid_valid {
-                    mn = mn.min(m.min_mid);
-                    mx = mx.max(m.max_mid);
-                }
-                (mn, mx)
-            })
-            .collect();
-        let (mut mn, mut mx) = reduce::reduce(grid, &per_chunk_minmax, &reduce::MinMaxU32Op);
+        // Observed min/max columns per record (for inference & validation):
+        // a range's first closed record spans back to its base column.
+        let (mut mn, mut mx) = (u32::MAX, 0u32);
+        for (r, base) in ranges.iter().zip(&col_bases) {
+            if r.records > 0 {
+                let cols = base.value + r.first_rel + 1;
+                mn = mn.min(cols).min(r.min_cols);
+                mx = mx.max(cols).max(r.max_cols);
+            }
+        }
         let observed_columns_closed = (total_record_delims > 0).then_some((mn, mx));
         if has_trailing_record {
             mn = mn.min(trailing_columns);

@@ -80,7 +80,15 @@ impl Bitmap {
     /// Number of set bits at position `i` or later — the "zero all bits that
     /// precede the last record delimiter, then popcount" step of §3.2.
     pub fn count_ones_from(&self, i: usize) -> u64 {
-        self.count_ones() - self.count_ones_before(i)
+        if i >= self.len {
+            return 0;
+        }
+        let head = (self.words[i >> 6] >> (i & 63)).count_ones() as u64;
+        let tail: u64 = self.words[(i >> 6) + 1..]
+            .iter()
+            .map(|w| w.count_ones() as u64)
+            .sum();
+        head + tail
     }
 
     /// Index of the highest set bit, if any.
@@ -191,6 +199,18 @@ impl AtomicBitmap {
         }
     }
 
+    /// Store a whole word that only one writer ever touches: a relaxed
+    /// store, which compiles to a plain store with no read-modify-write.
+    /// Writers that own a contiguous bit range use it for every word
+    /// inside the range and [`AtomicBitmap::or_word`] for the ≤ 2 words
+    /// at its ends that a neighbour may share.
+    #[inline]
+    pub fn store_word(&self, word: usize, bits: u64) {
+        if bits != 0 {
+            self.words[word].store(bits, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
     /// Freeze into an immutable [`Bitmap`].
     pub fn into_bitmap(self) -> Bitmap {
         Bitmap {
@@ -231,6 +251,9 @@ mod tests {
         assert_eq!(b.count_ones_before(65), 2);
         assert_eq!(b.count_ones_before(200), 5);
         assert_eq!(b.count_ones_from(65), 3);
+        for i in 0..=200 {
+            assert_eq!(b.count_ones_from(i), 5 - b.count_ones_before(i), "from {i}");
+        }
         assert_eq!(b.last_set_bit(), Some(199));
         assert_eq!(b.first_set_bit(), Some(3));
     }

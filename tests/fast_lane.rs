@@ -8,11 +8,12 @@
 //! automata and byte soups, not just the CSV machine the unit tests use.
 
 use parparaw::core::context::{determine_contexts, determine_contexts_fast};
-use parparaw::core::meta::identify_columns_and_records;
+use parparaw::core::meta::{identify_columns_and_records, ChunkMeta, ColOffset, ColOffsetOp};
 use parparaw::core::options::ScanAlgorithm;
 use parparaw::dfa::csv::{rfc4180, CsvDialect};
+use parparaw::dfa::log::extended_log;
 use parparaw::dfa::{Dfa, DfaBuilder, Emit, PairTable};
-use parparaw::parallel::{Bitmap, Grid, KernelExecutor, SplitMix64};
+use parparaw::parallel::{Bitmap, Grid, KernelExecutor, ScanOp, SplitMix64};
 
 /// A random complete DFA: 2–8 states, 1–3 explicit symbol groups plus the
 /// catch-all, every `(group, state)` pair wired to a random target with a
@@ -227,4 +228,275 @@ fn word_wise_pass2_matches_bit_reference() {
             );
         }
     }
+}
+
+/// A random DFA whose every symbol group permutes the states: the image
+/// of the multi-instance vector never shrinks, so with more than
+/// [`parparaw::dfa::table::COLLAPSE_LANES`] states pass 1 never collapses
+/// and steps at full width throughout.
+fn permutation_dfa(rng: &mut SplitMix64) -> Dfa {
+    let mut b = DfaBuilder::new();
+    let n_states = rng.next_range(4, 9) as usize;
+    let states: Vec<_> = (0..n_states).map(|i| b.state(&format!("p{i}"))).collect();
+    let mut groups = Vec::new();
+    for (i, set) in [&b","[..], b"\n", b"\"'"].into_iter().enumerate() {
+        if i == 0 || rng.chance(0.7) {
+            groups.push(b.group(set));
+        }
+    }
+    groups.push(b.catch_all());
+    b.start(states[0]);
+    b.accepting(&states);
+    for &g in &groups {
+        let mut perm: Vec<usize> = (0..n_states).collect();
+        for i in 0..n_states {
+            let j = i + rng.next_below((n_states - i) as u64) as usize;
+            perm.swap(i, j);
+        }
+        for (s, &to) in perm.iter().enumerate() {
+            let emit = Emit::from_bits(rng.next_below(16) as u8);
+            b.transition(states[s], g, states[to], emit);
+        }
+    }
+    b.build().expect("permutation DFA is complete")
+}
+
+/// A random DFA in which most states keep themselves, emitting nothing,
+/// on the catch-all bytes: the field-like states whose quiet runs the
+/// walks skip with a SWAR search.
+fn quiet_dfa(rng: &mut SplitMix64) -> Dfa {
+    let mut b = DfaBuilder::new();
+    let n_states = rng.next_range(2, 9) as usize;
+    let states: Vec<_> = (0..n_states).map(|i| b.state(&format!("q{i}"))).collect();
+    let groups = [
+        b.group(b","),
+        b.group(b"\n\r"),
+        b.group(b"\""),
+        b.catch_all(),
+    ];
+    b.start(states[0]);
+    b.accepting(&states);
+    for (gi, &g) in groups.iter().enumerate() {
+        for &s in &states {
+            if gi == 3 && rng.chance(0.7) {
+                b.transition(s, g, s, Emit::DATA);
+            } else {
+                let to = states[rng.next_below(n_states as u64) as usize];
+                b.transition(s, g, to, Emit::from_bits(rng.next_below(16) as u8));
+            }
+        }
+    }
+    b.build().expect("quiet DFA is complete")
+}
+
+/// Mostly catch-all bytes with sparse symbols: long quiet runs.
+fn sparse_soup_for(dfa: &Dfa, rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    let symbols: Vec<u8> = dfa
+        .symbol_groups()
+        .symbols()
+        .iter()
+        .map(|&(b, _)| b)
+        .collect();
+    rng.vec(len, |r| {
+        if !symbols.is_empty() && r.chance(0.03) {
+            *r.choice(&symbols)
+        } else {
+            b'a' + r.next_below(26) as u8
+        }
+    })
+}
+
+/// Everything passes 1 and 2 report, computed one modelled chunk at a
+/// time: `transition_vector_fast` per chunk and a sequential composition
+/// for the contexts, then a step-wise walk of each chunk from its own
+/// start state for the metadata and bitmaps.
+struct Reference {
+    start_states: Vec<u8>,
+    final_state: u8,
+    pass1_ops: u64,
+    chunk_meta: Vec<ChunkMeta>,
+    record_offsets: Vec<u64>,
+    col_offsets: Vec<u32>,
+    bitmaps: [Bitmap; 4],
+    observed_columns: Option<(u32, u32)>,
+    observed_columns_closed: Option<(u32, u32)>,
+}
+
+fn per_chunk_reference(dfa: &Dfa, input: &[u8], cs: usize, pair: Option<&PairTable>) -> Reference {
+    let mut start_states = Vec::new();
+    let mut state = dfa.start_state();
+    let mut pass1_ops = 0;
+    for chunk in input.chunks(cs) {
+        start_states.push(state);
+        let (vector, ops) = dfa.transition_vector_fast(chunk, pair);
+        pass1_ops += ops;
+        state = vector.get(state);
+    }
+    let final_state = state;
+
+    let bitmaps = reference_bitmaps(dfa, input, cs, &start_states);
+    let mut chunk_meta = Vec::new();
+    for (c, chunk) in input.chunks(cs).enumerate() {
+        let mut m = ChunkMeta::default();
+        let mut rel = 0u32;
+        let mut state = start_states[c];
+        for &b in chunk {
+            let step = dfa.step(state, b);
+            state = step.next;
+            if step.emit.is_record_delimiter() {
+                if m.record_count == 0 {
+                    m.first_rel = rel;
+                } else if m.mid_valid {
+                    m.min_mid = m.min_mid.min(rel + 1);
+                    m.max_mid = m.max_mid.max(rel + 1);
+                } else {
+                    (m.min_mid, m.max_mid, m.mid_valid) = (rel + 1, rel + 1, true);
+                }
+                m.record_count += 1;
+                rel = 0;
+            } else if step.emit.is_field_delimiter() {
+                rel += 1;
+            }
+        }
+        m.col_offset = ColOffset {
+            abs: m.record_count > 0,
+            value: rel,
+        };
+        chunk_meta.push(m);
+    }
+    let mut record_offsets = Vec::new();
+    let mut col_offsets = Vec::new();
+    let (mut rec, mut col) = (0u64, ColOffset::IDENTITY);
+    for m in &chunk_meta {
+        record_offsets.push(rec);
+        col_offsets.push(col.value);
+        rec += m.record_count as u64;
+        col = ColOffsetOp.combine(&col, &m.col_offset);
+    }
+
+    // Columns per record over one sequential walk; a trailing record is
+    // any field delimiter or data symbol after the last record delimiter.
+    let mut closed: Option<(u32, u32)> = None;
+    let (mut fields, mut trailing) = (0u32, false);
+    let mut state = dfa.start_state();
+    for &b in input {
+        let step = dfa.step(state, b);
+        state = step.next;
+        let e = step.emit;
+        if e.is_record_delimiter() {
+            let cols = fields + 1;
+            closed = Some(closed.map_or((cols, cols), |(lo, hi)| (lo.min(cols), hi.max(cols))));
+            (fields, trailing) = (0, false);
+        } else if e.is_field_delimiter() {
+            fields += 1;
+            trailing = true;
+        } else if !e.is_control() {
+            trailing = true;
+        }
+    }
+    let observed_columns = match (closed, trailing) {
+        (c, false) => c,
+        (None, true) => Some((fields + 1, fields + 1)),
+        (Some((lo, hi)), true) => Some((lo.min(fields + 1), hi.max(fields + 1))),
+    };
+    Reference {
+        start_states,
+        final_state,
+        pass1_ops,
+        chunk_meta,
+        record_offsets,
+        col_offsets,
+        bitmaps,
+        observed_columns,
+        observed_columns_closed: closed,
+    }
+}
+
+#[test]
+fn worker_range_walks_match_per_chunk_reference() {
+    let mut rng = SplitMix64::new(0xFA57_0004);
+    let builders: Vec<(&str, Dfa)> = vec![
+        ("csv", rfc4180(&CsvDialect::default())),
+        ("tsv", rfc4180(&CsvDialect::tsv())),
+        (
+            "comment",
+            rfc4180(&CsvDialect {
+                comment: Some(b'#'),
+                ..CsvDialect::default()
+            }),
+        ),
+        ("log", extended_log()),
+    ];
+    let mut machines = builders;
+    for i in 0..6 {
+        machines.push(("random", random_dfa(&mut rng)));
+        machines.push(("quiet", quiet_dfa(&mut rng)));
+        if i % 2 == 0 {
+            machines.push(("permutation", permutation_dfa(&mut rng)));
+        }
+    }
+    let mut never_collapsed = 0;
+    for (name, dfa) in &machines {
+        let pair = PairTable::build(dfa);
+        for len in [0usize, 5, 700, 1500] {
+            let input = if len > 1000 {
+                sparse_soup_for(dfa, &mut rng, len)
+            } else {
+                soup_for(dfa, &mut rng, len)
+            };
+            for cs in [1usize, 7, 31, 130] {
+                for workers in [1usize, 2, 3, 8] {
+                    for pair in [None, Some(&pair)] {
+                        let want = per_chunk_reference(dfa, &input, cs, pair);
+                        let exec = KernelExecutor::new(Grid::new(workers));
+                        let at = format!(
+                            "{name} len {len} cs {cs} workers {workers} pair {}",
+                            pair.is_some()
+                        );
+                        let ctx = determine_contexts_fast(
+                            &exec,
+                            dfa,
+                            &input,
+                            cs,
+                            ScanAlgorithm::Blocked,
+                            pair,
+                        )
+                        .expect("pass 1 runs");
+                        let pass1_ops = exec
+                            .drain_log()
+                            .iter()
+                            .find(|r| r.label == "parse/pass1")
+                            .expect("pass 1 logged")
+                            .parallel_ops;
+                        assert_eq!(ctx.start_states, want.start_states, "{at}");
+                        assert_eq!(ctx.final_state, want.final_state, "{at}");
+                        assert_eq!(pass1_ops, want.pass1_ops, "pass-1 counter, {at}");
+
+                        let meta =
+                            identify_columns_and_records(&exec, dfa, &input, cs, &ctx.start_states)
+                                .expect("pass 2 runs");
+                        assert_eq!(meta.chunk_meta, want.chunk_meta, "{at}");
+                        assert_eq!(meta.record_offsets, want.record_offsets, "{at}");
+                        assert_eq!(meta.col_offsets, want.col_offsets, "{at}");
+                        let got = [&meta.records, &meta.fields, &meta.control, &meta.rejects];
+                        for (g, w) in got.into_iter().zip(&want.bitmaps) {
+                            assert_eq!(g.words(), w.words(), "{at}");
+                        }
+                        assert_eq!(meta.observed_columns, want.observed_columns, "{at}");
+                        assert_eq!(
+                            meta.observed_columns_closed, want.observed_columns_closed,
+                            "{at}"
+                        );
+                    }
+                }
+            }
+            let full = dfa.num_states() as u64 + 1;
+            if *name == "permutation" && len > 0 {
+                let (_, ops) = dfa.transition_vector_fast(&input, None);
+                assert_eq!(ops, len as u64 * full, "{name} never collapses");
+                never_collapsed += 1;
+            }
+        }
+    }
+    assert!(never_collapsed > 0);
 }

@@ -105,6 +105,35 @@ fn deadline_timeouts_recover_with_unchanged_output() {
 }
 
 #[test]
+fn deadline_stops_a_worker_range_walk_mid_range() {
+    use std::time::Duration;
+    // Passes 1 and 2 walk each worker's whole chunk range in one go: ~4
+    // MiB per worker here, many times longer than the 1 ms deadline. The
+    // walks poll the abort signal per model chunk, so the watchdog stops
+    // one of them mid-range and, with a single attempt allowed, the parse
+    // fails with a typed timeout instead of completing.
+    let input = parparaw::workloads::yelp::generate(8 << 20, 1);
+    let o = ParserOptions {
+        grid: Grid::new(2),
+        ..ParserOptions::default()
+    }
+    .retry(RetryPolicy::attempts(1))
+    .launch_deadline(Duration::from_millis(1));
+    let err = Parser::new(rfc4180(&CsvDialect::default()), o)
+        .parse(&input)
+        .expect_err("a 1 ms deadline cannot cover an 8 MiB walk");
+    assert!(err.is_timeout(), "expected a timeout, got {err}");
+    match err {
+        ParseError::Launch(e) => assert!(
+            e.label == "parse/pass1" || e.label == "parse/pass2",
+            "the first long walk times out, not {}",
+            e.label
+        ),
+        other => panic!("expected a launch error, got {other}"),
+    }
+}
+
+#[test]
 fn stall_timeout_degrade_and_resume_is_byte_identical() {
     use std::time::Duration;
     // The full recovery gauntlet, per tagging mode: launches stall and
