@@ -22,7 +22,7 @@
 //! fix-up re-scans the chunk metadata from each range's base.
 
 use crate::chunks::num_chunks;
-use parparaw_dfa::{Dfa, StopBytes};
+use parparaw_dfa::Dfa;
 use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::{self, ScanOp};
 use parparaw_parallel::{AtomicBitmap, Bitmap, KernelExecutor, LaunchError};
@@ -191,8 +191,6 @@ struct Pass2Walk<'a> {
     /// The range's first and last bitmap words, which a neighbouring
     /// range may share.
     edges: (usize, usize),
-    /// Per state, the bytes that end a quiet run (see [`StopBytes`]).
-    stops: &'a [Option<StopBytes>],
     state: u8,
     /// The word being filled and its bits, per bitmap.
     wi: usize,
@@ -213,9 +211,8 @@ impl Pass2Walk<'_> {
         }
     }
 
-    /// Walk the chunk `input[start..end]` and return its metadata. Quiet
-    /// runs — bytes that keep the state and emit nothing — are skipped
-    /// with a SWAR search; every other byte costs one fused table step.
+    /// Walk the chunk `input[start..end]` and return its metadata: one
+    /// fused table step per byte.
     fn chunk(&mut self, input: &[u8], start: usize, end: usize) -> ChunkMeta {
         // Locals, not fields, through the byte loop: they stay in registers.
         let dfa = self.dfa;
@@ -268,16 +265,8 @@ impl Pass2Walk<'_> {
                 }
                 next
             };
-            let mut i = start;
-            while i < end {
-                if let Some(stops) = &self.stops[state as usize] {
-                    i += stops.quiet_run(&input[i..], end - i);
-                    if i == end {
-                        break;
-                    }
-                }
-                state = step(i, input[i], state);
-                i += 1;
+            for (i, &b) in input[start..end].iter().enumerate() {
+                state = step(start + i, b, state);
             }
         }
         self.state = state;
@@ -311,19 +300,15 @@ pub fn identify_columns_and_records(
     assert_eq!(start_states.len(), n_chunks, "one start state per chunk");
 
     let maps: [AtomicBitmap; 4] = std::array::from_fn(|_| AtomicBitmap::new(n));
-    let stops: Vec<Option<StopBytes>> = (0..dfa.num_states())
-        .map(|s| dfa.stop_bytes(s, true))
-        .collect();
 
     // Kernel: one single-instance DFA walk per worker range of chunks,
     // from the range's first start state. The chunk stays the modelled
     // unit: the walk fills each chunk's metadata at its boundary and polls
     // for aborts per chunk. Bitmap bits accumulate in a local word per
     // bitmap, flushed once per word with a plain store — only the ≤ 2 edge
-    // words a neighbouring range shares take an atomic OR. Quiet runs are
-    // skipped eight bytes per load; every other byte costs one fused table
-    // step (`byte_emit_row` / `byte_row` fold the group lookup into the
-    // fetch).
+    // words a neighbouring range shares take an atomic OR. Every byte
+    // costs one fused table step (`byte_emit_row` / `byte_row` fold the
+    // group lookup into the fetch).
     let (chunk_meta, ranges) = exec.launch("parse/pass2", n_chunks, |grid, counters| {
         counters.bytes_read = n as u64;
         // Four bitmaps plus the per-chunk metadata.
@@ -345,7 +330,6 @@ pub fn identify_columns_and_records(
                         dfa,
                         maps: &maps,
                         edges: (lo >> 6, (hi - 1) >> 6),
-                        stops: &stops,
                         state: start_states[chunks.start],
                         wi: lo >> 6,
                         acc: [0; 4],

@@ -57,7 +57,7 @@ pub use dfa::{Dfa, Emit, Step};
 pub use mfira::Mfira;
 pub use swar::SwarMatcher;
 pub use symbol::SymbolGroups;
-pub use table::{LaneWalk, PairTable, StopBytes};
+pub use table::{LaneWalk, PairTable};
 pub use vector::{StateVector, VectorComposeOp};
 
 /// Maximum number of DFA states supported by the packed representations

@@ -277,151 +277,17 @@ impl Dfa {
     }
 }
 
-/// Most bytes a [`StopBytes`] set holds: four byte compares per 8-byte
-/// word keep the quiet-run search far cheaper than stepping the bytes.
-pub const MAX_STOP_BYTES: usize = 4;
-
-/// A quiet run shorter than this (one SWAR word) means moving bytes are
-/// dense: the pass-1 walk then steps the next [`DENSE_STRETCH`] bytes
-/// without searching.
-const DENSE_RUN: usize = 8;
-const DENSE_STRETCH: usize = 256;
-
-const SWAR_LO: u64 = 0x0101_0101_0101_0101;
-const SWAR_HI: u64 = 0x8080_8080_8080_8080;
-
-/// The bytes that end a *quiet run* from one DFA state — a stretch of
-/// input that leaves the state unchanged (and, where emissions count,
-/// emits nothing) — when there are at most [`MAX_STOP_BYTES`] of them,
-/// as for the quoted and unquoted field states of the CSV dialects. A
-/// walk that knows its state skips a quiet run with a SWAR search, eight
-/// bytes per load (Mycroft's null-byte test, as in [`crate::swar`]),
-/// instead of stepping it byte by byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StopBytes {
-    /// Each stop byte broadcast to all eight byte lanes; unused slots
-    /// repeat the first, so the search always tests every slot.
-    bcast: [u64; MAX_STOP_BYTES],
-    len: u8,
-}
-
-impl StopBytes {
-    fn from_bytes(bytes: &[u8]) -> Option<StopBytes> {
-        if bytes.len() > MAX_STOP_BYTES {
-            return None;
-        }
-        let mut bcast = [0u64; MAX_STOP_BYTES];
-        for (slot, lane) in bcast.iter_mut().enumerate() {
-            let b = bytes.get(slot).or(bytes.first()).copied().unwrap_or(0);
-            *lane = SWAR_LO * b as u64;
-        }
-        Some(StopBytes {
-            bcast,
-            len: bytes.len() as u8,
-        })
-    }
-
-    fn bytes(&self) -> impl Iterator<Item = u8> + '_ {
-        self.bcast[..self.len as usize].iter().map(|&w| w as u8)
-    }
-
-    /// The stop bytes of both sets, when they still fit.
-    fn union(&self, other: &StopBytes) -> Option<StopBytes> {
-        let mut out = *self;
-        for b in other.bytes() {
-            if !out.bytes().any(|s| s == b) {
-                if out.len as usize == MAX_STOP_BYTES {
-                    return None;
-                }
-                out.bcast[out.len as usize] = SWAR_LO * b as u64;
-                out.len += 1;
-            }
-        }
-        let first = out.bcast[0];
-        for slot in &mut out.bcast[out.len as usize..] {
-            *slot = first;
-        }
-        Some(out)
-    }
-
-    /// Flags (bit 7 of a byte lane) marking stop bytes in `word`; the
-    /// lowest flag is exact, higher ones may be borrow-ripple false
-    /// positives.
-    #[inline(always)]
-    fn hits(&self, word: u64) -> u64 {
-        let zero = |b: u64| {
-            let x = word ^ b;
-            x.wrapping_sub(SWAR_LO) & !x & SWAR_HI
-        };
-        let [a, b, c, d] = self.bcast;
-        if self.len == 1 {
-            zero(a)
-        } else {
-            zero(a) | zero(b) | zero(c) | zero(d)
-        }
-    }
-
-    /// Length of the quiet run at the start of `bytes`, at most `limit`
-    /// (≤ `bytes.len()`). Whole 8-byte words are read past `limit` while
-    /// `bytes` has them, so callers pass the rest of their input and bound
-    /// the run with `limit`.
-    #[inline]
-    pub fn quiet_run(&self, bytes: &[u8], limit: usize) -> usize {
-        if self.len == 0 {
-            return limit;
-        }
-        let mut i = 0;
-        while i < limit {
-            let Some(word) = bytes.get(i..i + 8) else {
-                let tail = &bytes[i..limit];
-                return i + tail
-                    .iter()
-                    .position(|&b| self.bytes().any(|s| s == b))
-                    .unwrap_or(tail.len());
-            };
-            let hit = self.hits(u64::from_le_bytes(word.try_into().expect("8-byte slice")));
-            if hit != 0 {
-                return limit.min(i + hit.trailing_zeros() as usize / 8);
-            }
-            i += 8;
-        }
-        limit
-    }
-}
-
-impl Dfa {
-    /// The [`StopBytes`] of `state`: the bytes that move it to another
-    /// state or, with `emits`, emit anything. `None` when there are more
-    /// than [`MAX_STOP_BYTES`].
-    pub fn stop_bytes(&self, state: u8, emits: bool) -> Option<StopBytes> {
-        let mut stops = Vec::with_capacity(MAX_STOP_BYTES + 1);
-        for b in 0..=255u8 {
-            let moves = Dfa::next_in_row(self.byte_row(b), state) != state;
-            if moves || (emits && Dfa::emit_in_row(self.byte_emit_row(b), state).bits() != 0) {
-                stops.push(b);
-                if stops.len() > MAX_STOP_BYTES {
-                    return None;
-                }
-            }
-        }
-        StopBytes::from_bytes(&stops)
-    }
-}
-
 /// Pass 1 over a run of consecutive chunks in one walk: the vector is
 /// stepped at full width from the identity until its image collapses
 /// (checked at the cadence of [`Dfa::transition_vector_fast`], counted
 /// from the walk's start), then only the ≤ [`COLLAPSE_LANES`] live lanes
-/// are stepped for the rest of the run. Collapsed, the walk skips quiet
-/// runs — bytes that leave every live lane where it is (see
-/// [`StopBytes`]) — and steps only the bytes that move a lane. Between
-/// [`LaneWalk::step`] calls the caller reads the walk's
-/// [`LaneWalk::image`] — one packed vector — at each chunk start, and
-/// resolves it to a state with [`LaneWalk::resolve`] once the state at
-/// the walk's start is known.
+/// are stepped for the rest of the run. Between [`LaneWalk::step`] calls
+/// the caller reads the walk's [`LaneWalk::image`] — one packed vector —
+/// at each chunk start, and resolves it to a state with
+/// [`LaneWalk::resolve`] once the state at the walk's start is known.
 ///
-/// With a [`PairTable`] the collapsed loop steps moving bytes two at a
-/// time within each `step` call, so no pair straddles a caller's chunk
+/// With a [`PairTable`] the collapsed loop steps two bytes at a time
+/// within each `step` call, so no pair straddles a caller's chunk
 /// boundary.
 #[derive(Debug, Clone)]
 pub struct LaneWalk<'d> {
@@ -434,18 +300,6 @@ pub struct LaneWalk<'d> {
     lanes: Option<[u8; COLLAPSE_LANES]>,
     /// Lane of each start state, 4 bits per state (valid once collapsed).
     lane_of: u64,
-    /// Per state, the bytes that move it (emissions do not matter here).
-    stops: [Option<StopBytes>; crate::MAX_STATES],
-    /// The bytes that move any live lane, when they fit a [`StopBytes`].
-    quiet: Option<StopBytes>,
-    /// `quiet` per lane tuple seen so far: `memo[image]` indexes
-    /// `quiet_sets`, `u8::MAX` when not yet computed.
-    memo: Vec<u8>,
-    quiet_sets: Vec<Option<StopBytes>>,
-    /// Stepping every byte until this input position, and the short quiet
-    /// runs in a row that trigger such a stretch (see `DENSE_RUN`).
-    dense_until: usize,
-    short_runs: u8,
     /// Bytes stepped at full width, and where the next collapse check is.
     pos: usize,
     next_check: usize,
@@ -455,22 +309,12 @@ pub struct LaneWalk<'d> {
 impl<'d> LaneWalk<'d> {
     /// A walk at the identity vector.
     pub fn new(dfa: &'d Dfa, pair: Option<&'d PairTable>) -> Self {
-        let mut stops = [None; crate::MAX_STATES];
-        for (s, slot) in stops.iter_mut().enumerate().take(dfa.num_states() as usize) {
-            *slot = dfa.stop_bytes(s as u8, false);
-        }
         let mut walk = LaneWalk {
             dfa,
             pair,
             vector: StateVector::identity(dfa.num_states()),
             lanes: None,
             lane_of: 0,
-            stops,
-            quiet: None,
-            memo: Vec::new(),
-            quiet_sets: Vec::new(),
-            dense_until: 0,
-            short_runs: 0,
             pos: 0,
             next_check: COLLAPSE_CHECK_AFTER,
             check_step: COLLAPSE_CHECK_AFTER,
@@ -491,29 +335,7 @@ impl<'d> LaneWalk<'d> {
                 self.lane_of |= (lane as u64) << (4 * i);
             }
             self.lanes = Some(lanes);
-            self.memo = vec![u8::MAX; 1 << (4 * COLLAPSE_LANES)];
-            self.quiet = self.quiet_for(lanes);
         }
-    }
-
-    /// The bytes that move any of `lanes`, memoised per lane tuple: dense
-    /// input moves the lanes every few bytes, through a handful of tuples.
-    fn quiet_for(&mut self, lanes: [u8; COLLAPSE_LANES]) -> Option<StopBytes> {
-        let key = lanes.iter().rev().fold(0, |k, &s| k << 4 | s as usize);
-        if let Some(quiet) = self.quiet_sets.get(self.memo[key] as usize) {
-            return *quiet;
-        }
-        let quiet = self.lane_stops(lanes);
-        if self.quiet_sets.len() < u8::MAX as usize {
-            self.memo[key] = self.quiet_sets.len() as u8;
-            self.quiet_sets.push(quiet);
-        }
-        quiet
-    }
-
-    fn lane_stops(&self, [a, b, c]: [u8; COLLAPSE_LANES]) -> Option<StopBytes> {
-        let stops = |s: u8| self.stops[s as usize];
-        stops(a)?.union(&stops(b)?)?.union(&stops(c)?)
     }
 
     /// Whether the walk steps collapsed lanes rather than the full vector.
@@ -545,8 +367,7 @@ impl<'d> LaneWalk<'d> {
         Dfa::next_in_row(image, entry)
     }
 
-    /// Advance the walk over `input[start..end]`. Whole 8-byte words past
-    /// `end` may be read (never stepped) while searching a quiet run.
+    /// Advance the walk over `input[start..end]`.
     pub fn step(&mut self, input: &[u8], start: usize, end: usize) {
         let mut i = start;
         while self.lanes.is_none() && i < end {
@@ -562,44 +383,9 @@ impl<'d> LaneWalk<'d> {
                 self.try_collapse();
             }
         }
-        let Some(mut lanes) = self.lanes else {
-            return;
-        };
-        while i < end {
-            if i < self.dense_until {
-                let stop = end.min(self.dense_until);
-                lanes = self.step_lanes(lanes, &input[i..stop]);
-                i = stop;
-                if i == self.dense_until {
-                    self.quiet = self.quiet_for(lanes);
-                }
-                continue;
-            }
-            let run = self.quiet.map_or(0, |q| q.quiet_run(&input[i..], end - i));
-            i += run;
-            if i == end {
-                break;
-            }
-            if run >= DENSE_RUN {
-                self.short_runs = 0;
-            } else {
-                self.short_runs += 1;
-                if self.short_runs == 2 {
-                    // Moving bytes come thick here: searching costs more
-                    // than stepping, so step a stretch before looking again.
-                    self.short_runs = 0;
-                    self.dense_until = i + DENSE_STRETCH;
-                }
-            }
-            let width = if self.pair.is_some() { 2 } else { 1 }.min(end - i);
-            let moved = self.step_lanes(lanes, &input[i..i + width]);
-            i += width;
-            if moved != lanes {
-                lanes = moved;
-                self.quiet = self.quiet_for(lanes);
-            }
+        if let Some(lanes) = self.lanes {
+            self.lanes = Some(self.step_lanes(lanes, &input[i..end]));
         }
-        self.lanes = Some(lanes);
     }
 
     /// Step `lanes` over every byte of `bytes`, two at a time through the

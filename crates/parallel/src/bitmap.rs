@@ -80,15 +80,7 @@ impl Bitmap {
     /// Number of set bits at position `i` or later — the "zero all bits that
     /// precede the last record delimiter, then popcount" step of §3.2.
     pub fn count_ones_from(&self, i: usize) -> u64 {
-        if i >= self.len {
-            return 0;
-        }
-        let head = (self.words[i >> 6] >> (i & 63)).count_ones() as u64;
-        let tail: u64 = self.words[(i >> 6) + 1..]
-            .iter()
-            .map(|w| w.count_ones() as u64)
-            .sum();
-        head + tail
+        self.count_ones() - self.count_ones_before(i)
     }
 
     /// Index of the highest set bit, if any.
@@ -206,9 +198,7 @@ impl AtomicBitmap {
     /// at its ends that a neighbour may share.
     #[inline]
     pub fn store_word(&self, word: usize, bits: u64) {
-        if bits != 0 {
-            self.words[word].store(bits, std::sync::atomic::Ordering::Relaxed);
-        }
+        self.words[word].store(bits, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Freeze into an immutable [`Bitmap`].
@@ -251,9 +241,6 @@ mod tests {
         assert_eq!(b.count_ones_before(65), 2);
         assert_eq!(b.count_ones_before(200), 5);
         assert_eq!(b.count_ones_from(65), 3);
-        for i in 0..=200 {
-            assert_eq!(b.count_ones_from(i), 5 - b.count_ones_before(i), "from {i}");
-        }
         assert_eq!(b.last_set_bit(), Some(199));
         assert_eq!(b.first_set_bit(), Some(3));
     }

@@ -261,51 +261,6 @@ fn permutation_dfa(rng: &mut SplitMix64) -> Dfa {
     b.build().expect("permutation DFA is complete")
 }
 
-/// A random DFA in which most states keep themselves, emitting nothing,
-/// on the catch-all bytes: the field-like states whose quiet runs the
-/// walks skip with a SWAR search.
-fn quiet_dfa(rng: &mut SplitMix64) -> Dfa {
-    let mut b = DfaBuilder::new();
-    let n_states = rng.next_range(2, 9) as usize;
-    let states: Vec<_> = (0..n_states).map(|i| b.state(&format!("q{i}"))).collect();
-    let groups = [
-        b.group(b","),
-        b.group(b"\n\r"),
-        b.group(b"\""),
-        b.catch_all(),
-    ];
-    b.start(states[0]);
-    b.accepting(&states);
-    for (gi, &g) in groups.iter().enumerate() {
-        for &s in &states {
-            if gi == 3 && rng.chance(0.7) {
-                b.transition(s, g, s, Emit::DATA);
-            } else {
-                let to = states[rng.next_below(n_states as u64) as usize];
-                b.transition(s, g, to, Emit::from_bits(rng.next_below(16) as u8));
-            }
-        }
-    }
-    b.build().expect("quiet DFA is complete")
-}
-
-/// Mostly catch-all bytes with sparse symbols: long quiet runs.
-fn sparse_soup_for(dfa: &Dfa, rng: &mut SplitMix64, len: usize) -> Vec<u8> {
-    let symbols: Vec<u8> = dfa
-        .symbol_groups()
-        .symbols()
-        .iter()
-        .map(|&(b, _)| b)
-        .collect();
-    rng.vec(len, |r| {
-        if !symbols.is_empty() && r.chance(0.03) {
-            *r.choice(&symbols)
-        } else {
-            b'a' + r.next_below(26) as u8
-        }
-    })
-}
-
 /// Everything passes 1 and 2 report, computed one modelled chunk at a
 /// time: `transition_vector_fast` per chunk and a sequential composition
 /// for the contexts, then a step-wise walk of each chunk from its own
@@ -430,7 +385,6 @@ fn worker_range_walks_match_per_chunk_reference() {
     let mut machines = builders;
     for i in 0..6 {
         machines.push(("random", random_dfa(&mut rng)));
-        machines.push(("quiet", quiet_dfa(&mut rng)));
         if i % 2 == 0 {
             machines.push(("permutation", permutation_dfa(&mut rng)));
         }
@@ -438,12 +392,8 @@ fn worker_range_walks_match_per_chunk_reference() {
     let mut never_collapsed = 0;
     for (name, dfa) in &machines {
         let pair = PairTable::build(dfa);
-        for len in [0usize, 5, 700, 1500] {
-            let input = if len > 1000 {
-                sparse_soup_for(dfa, &mut rng, len)
-            } else {
-                soup_for(dfa, &mut rng, len)
-            };
+        for len in [0usize, 5, 700] {
+            let input = soup_for(dfa, &mut rng, len);
             for cs in [1usize, 7, 31, 130] {
                 for workers in [1usize, 2, 3, 8] {
                     for pair in [None, Some(&pair)] {
