@@ -173,18 +173,21 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
 /// path, at the paper's default 31-byte chunks. The token arms the
 /// cooperative abort signal in every kernel (one predictable branch per
 /// 256 chunks), so this must stay in the noise; CI asserts
-/// `overhead_pct < 3`.
+/// `overhead_pct < 3`. Token-free and armed-token parses alternate in 21
+/// pairs (each pair swapping which runs first), so drift in host speed
+/// hits both sides alike, and the guard reports medians.
 #[derive(Debug, Clone)]
 pub struct CancelOverhead {
     /// Dataset the guard ran on.
     pub dataset: Dataset,
     /// Input bytes parsed per repetition.
     pub bytes: usize,
-    /// Best-of-reps wall ms without a token.
+    /// Median wall ms without a token.
     pub baseline_ms: f64,
-    /// Best-of-reps wall ms with an armed, never-fired token.
+    /// Median wall ms with an armed, never-fired token.
     pub with_token_ms: f64,
-    /// `(with_token - baseline) / baseline * 100` (negative = noise).
+    /// Median over the pairs of `(with_token - baseline) / baseline * 100`
+    /// (negative = noise).
     pub overhead_pct: f64,
 }
 
@@ -201,31 +204,47 @@ pub fn cancel_overhead(dataset: Dataset, bytes: usize, workers: usize) -> Cancel
         o.cancel = token;
         o
     };
-    let reps = 5;
-    let baseline_ms = bench_ms(reps, || {
-        parse_csv(&data, opts(None))
-            .expect("dataset parses")
-            .stats
-            .num_records
-    });
     let token = CancelToken::new();
-    let with_token_ms = bench_ms(reps, || {
-        parse_csv(&data, opts(Some(token.clone())))
-            .expect("dataset parses")
-            .stats
-            .num_records
-    });
+    let parse_ms = |armed: bool| {
+        bench_ms_consuming(
+            1,
+            || opts(armed.then(|| token.clone())),
+            |o| {
+                parse_csv(&data, o)
+                    .expect("dataset parses")
+                    .stats
+                    .num_records
+            },
+        )
+    };
+    parse_ms(false); // warm-up
+    let pairs = 21;
+    let (mut baseline, mut with_token, mut overhead) = (vec![], vec![], vec![]);
+    for p in 0..pairs {
+        let (base, armed) = if p % 2 == 0 {
+            let base = parse_ms(false);
+            (base, parse_ms(true))
+        } else {
+            let armed = parse_ms(true);
+            (parse_ms(false), armed)
+        };
+        baseline.push(base);
+        with_token.push(armed);
+        overhead.push((armed - base) / base * 100.0);
+    }
     CancelOverhead {
         dataset,
         bytes,
-        baseline_ms,
-        with_token_ms,
-        overhead_pct: if baseline_ms > 0.0 {
-            (with_token_ms - baseline_ms) / baseline_ms * 100.0
-        } else {
-            0.0
-        },
+        baseline_ms: median(baseline),
+        with_token_ms: median(with_token),
+        overhead_pct: median(overhead),
     }
+}
+
+/// The median of `xs` (the upper one for an even count).
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Render the whole sweep (all datasets) as the `BENCH_pipeline.json`

@@ -27,7 +27,7 @@ use parparaw_parallel::scan::{exclusive_scan_seq, AddOp};
 use parparaw_parallel::{histogram, radix, BufferArena, KernelExecutor, LaunchError};
 
 /// A column's field runs after partitioning: grouped by column, input
-/// order within each column, `start` rebased to the column's CSS.
+/// order within each column, so column `c`'s runs tile its CSS.
 #[derive(Debug)]
 pub struct ColumnRuns {
     /// All columns' runs, concatenated in column order.
@@ -51,6 +51,9 @@ pub struct Partitioned {
     /// Column-grouped field runs, the CSS index's input. Both kernels
     /// emit them, so this is always `Some`.
     pub runs: Option<ColumnRuns>,
+    /// [`Tagged::col_chunk_runs`] carried through, one entry per column:
+    /// what the `convert/index` counters charge.
+    pub col_chunk_runs: Vec<u64>,
 }
 
 /// Partition the tagged symbols into per-column CSSs as one instrumented
@@ -86,14 +89,17 @@ pub fn partition_by_column_with(
 /// counting runs and symbols per column, (2) column-major/worker-minor
 /// exclusive prefix scans over both (reusing the radix sort's stability
 /// shape), (3) a scatter pass moving each run's symbols with one memcpy.
+/// Each worker's source cursor starts at the symbols of the workers
+/// before it, which its histogram already counts.
 fn partition_run_scatter(
     exec: &KernelExecutor,
-    tagged: Tagged,
+    mut tagged: Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
     let num_runs = tagged.runs.len();
+    let col_chunk_runs = take_col_chunk_runs(&mut tagged, num_columns);
 
     // `launch_once` because the scatter consumes the tagged buffers;
     // injected faults (which fire before the job body runs) still retry.
@@ -102,33 +108,31 @@ fn partition_run_scatter(
         let in_runs = &tagged.runs;
 
         // (1) Per-worker local histograms over the runs: run count and
-        // symbol count per column, plus the runs' `chunks` for the cost
-        // model.
+        // symbol count per column.
         let parts = grid.partition(num_runs);
         let num_workers = parts.len().max(1);
-        let mut locals: Vec<(Vec<u64>, Vec<u64>, u64)> =
-            vec![(vec![0u64; num_columns], vec![0u64; num_columns], 0); num_workers];
+        let mut locals: Vec<(Vec<u64>, Vec<u64>)> =
+            vec![(vec![0u64; num_columns], vec![0u64; num_columns]); num_workers];
         {
             let lw = SlotWriter::new(&mut locals);
             grid.run_partitioned(num_runs, |w, range| {
                 let mut run_hist = vec![0u64; num_columns];
                 let mut sym_hist = vec![0u64; num_columns];
-                let mut chunk_runs = 0u64;
                 for i in range {
                     grid.check_abort(i);
                     let r = &in_runs[i];
                     run_hist[r.col as usize] += 1;
-                    sym_hist[r.col as usize] += r.len;
-                    chunk_runs += u64::from(r.chunks);
+                    sym_hist[r.col as usize] += r.len();
                 }
                 // SAFETY: one slot per worker id, written by that worker only.
-                unsafe { lw.write(w, (run_hist, sym_hist, chunk_runs)) };
+                unsafe { lw.write(w, (run_hist, sym_hist)) };
             });
         }
 
         // (2) Exclusive prefix sums in column-major, worker-minor order:
         // per-(worker, column) write cursors for both the symbol and the
-        // run output, plus the per-column CSS offsets.
+        // run output, plus the per-column CSS offsets; and in worker order,
+        // each worker's first source symbol.
         let mut sym_cursors: Vec<Vec<u64>> = vec![vec![0u64; num_columns]; num_workers];
         let mut run_cursors: Vec<Vec<u64>> = vec![vec![0u64; num_columns]; num_workers];
         let mut col_starts = Vec::with_capacity(num_columns + 1);
@@ -149,6 +153,13 @@ fn partition_run_scatter(
         col_run_starts.push(run_running);
         debug_assert_eq!(sym_running as usize, n, "runs must cover every symbol");
         debug_assert_eq!(run_running as usize, num_runs);
+        let src_starts = exclusive_scan_seq(
+            &locals
+                .iter()
+                .map(|l| l.1.iter().sum())
+                .collect::<Vec<u64>>(),
+            &AddOp,
+        );
 
         // (3) Stable scatter: each worker walks its contiguous run range
         // in order, moving whole fields with one memcpy each.
@@ -160,30 +171,25 @@ fn partition_run_scatter(
             let sym_w = SlotWriter::new(&mut symbols);
             let run_w = SlotWriter::new(&mut out_runs);
             let in_syms = &tagged.symbols[..];
-            let col_starts = &col_starts[..];
             grid.run_partitioned(num_runs, |w, range| {
                 let mut sym_cur = sym_cursors[w].clone();
                 let mut run_cur = run_cursors[w].clone();
+                let mut src = src_starts[w] as usize;
                 for i in range {
                     grid.check_abort(i);
                     let r = in_runs[i];
                     let c = r.col as usize;
-                    let (src, len) = (r.start as usize, r.len as usize);
+                    let len = r.len() as usize;
                     let dst = sym_cur[c] as usize;
-                    sym_cur[c] += r.len;
+                    sym_cur[c] += r.len();
                     // SAFETY: the scans give each (worker, column) its own
                     // disjoint symbol and run ranges, sized by the
                     // histogram of exactly these runs.
                     unsafe {
                         sym_w.write_slice(dst, &in_syms[src..src + len]);
-                        run_w.write(
-                            run_cur[c] as usize,
-                            FieldRun {
-                                start: dst as u64 - col_starts[c],
-                                ..r
-                            },
-                        );
+                        run_w.write(run_cur[c] as usize, r);
                     }
+                    src += len;
                     run_cur[c] += 1;
                 }
             });
@@ -192,10 +198,10 @@ fn partition_run_scatter(
         // Work counters model the paper's kernel, not this code: per
         // symbol the CSS byte both ways plus the record tag (tagged mode)
         // or delimiter flag (vector mode) — the mode traffic Figure 11
-        // ranks; per run of a per-chunk tag kernel (`FieldRun::chunks`)
-        // the run metadata through the histogram and scatter passes. The
-        // scans are serial.
-        let chunk_runs: u64 = locals.iter().map(|l| l.2).sum();
+        // ranks; per run of a per-chunk tag kernel
+        // (`Tagged::col_chunk_runs`) the run metadata through the
+        // histogram and scatter passes. The scans are serial.
+        let chunk_runs: u64 = col_chunk_runs.iter().sum();
         let model_workers = grid.workers().min((chunk_runs as usize).max(1));
         let per_symbol: u64 = 1 + match tagged.mode {
             TaggingMode::RecordTagged => 4,
@@ -218,6 +224,7 @@ fn partition_run_scatter(
                 runs: out_runs,
                 col_starts: col_run_starts,
             }),
+            col_chunk_runs,
         }
     })
 }
@@ -228,11 +235,12 @@ fn partition_run_scatter(
 /// runs are the input runs stably ordered by column.
 fn partition_radix_sort(
     exec: &KernelExecutor,
-    tagged: Tagged,
+    mut tagged: Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
+    let col_chunk_runs = take_col_chunk_runs(&mut tagged, num_columns);
     let max_key = (num_columns - 1) as u32;
     let digit_bits = 8u32;
     let passes = (32 - max_key.leading_zeros()).div_ceil(digit_bits).max(1);
@@ -245,7 +253,7 @@ fn partition_radix_sort(
         let expand = |label: &str, tag: fn(&FieldRun) -> u32| {
             let mut out = arena.take_u32(label);
             for r in &tagged.runs {
-                out.extend(std::iter::repeat_n(tag(r), r.len as usize));
+                out.extend(std::iter::repeat_n(tag(r), r.len() as usize));
             }
             out
         };
@@ -275,7 +283,7 @@ fn partition_radix_sort(
         arena.put_u32("partition/col-tags", keys);
 
         // Column-grouped runs: a stable counting sort of the runs by
-        // column, starts rebased to each column's CSS.
+        // column.
         let mut col_run_starts = vec![0u64; num_columns + 1];
         for r in &tagged.runs {
             col_run_starts[r.col as usize + 1] += 1;
@@ -284,16 +292,11 @@ fn partition_radix_sort(
             col_run_starts[c + 1] += col_run_starts[c];
         }
         let mut run_cur = col_run_starts.clone();
-        let mut css_cur = vec![0u64; num_columns];
         let mut out_runs = vec![FieldRun::default(); tagged.runs.len()];
         for r in &tagged.runs {
             let c = r.col as usize;
-            out_runs[run_cur[c] as usize] = FieldRun {
-                start: css_cur[c],
-                ..*r
-            };
+            out_runs[run_cur[c] as usize] = *r;
             run_cur[c] += 1;
-            css_cur[c] += r.len;
         }
 
         // Each pass reads and writes (key + payload) for every item — the
@@ -321,8 +324,17 @@ fn partition_radix_sort(
                 runs: out_runs,
                 col_starts: col_run_starts,
             }),
+            col_chunk_runs,
         }
     })
+}
+
+/// Move the tag walk's per-column chunk-run counts out of `tagged`, one
+/// entry per partitioned column.
+fn take_col_chunk_runs(tagged: &mut Tagged, num_columns: usize) -> Vec<u64> {
+    let mut counts = std::mem::take(&mut tagged.col_chunk_runs);
+    counts.resize(num_columns, 0);
+    counts
 }
 
 /// Hand the consumed tag buffers back to the arena for the next `tag`
@@ -414,13 +426,14 @@ mod tests {
         assert_eq!(p.css(1), b"Apples\n\nPears\n");
         // The paper's flag vector marks 6, 7 and 13: the closing symbol
         // of each closed run.
-        let delim_positions: Vec<u64> = p
-            .col_runs(1)
-            .unwrap()
-            .iter()
-            .filter(|r| r.closed)
-            .map(|r| r.start + r.len - 1)
-            .collect();
+        let mut end = 0;
+        let mut delim_positions = Vec::new();
+        for r in p.col_runs(1).unwrap() {
+            end += r.len();
+            if r.closed() {
+                delim_positions.push(end - 1);
+            }
+        }
         assert_eq!(delim_positions, vec![6, 7, 13]);
     }
 
@@ -483,7 +496,7 @@ mod tests {
             if mode == TaggingMode::RecordTagged {
                 let mut rows = Vec::new();
                 for r in &runs {
-                    rows.extend(std::iter::repeat_n(r.row, r.len as usize));
+                    rows.extend(std::iter::repeat_n(r.row, r.len() as usize));
                 }
                 assert_eq!(radix.rec_tags, rows);
             } else {
@@ -493,23 +506,49 @@ mod tests {
     }
 
     #[test]
-    fn scattered_runs_are_css_relative_and_ordered() {
-        let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
-        let (exec, t) = tag(input, TaggingMode::RecordTagged, 3);
-        let p = partition_by_column(&exec, t, 3).unwrap();
-        for c in 0..3 {
-            let runs = p.col_runs(c).unwrap();
-            let css_len = p.col_starts[c + 1] - p.col_starts[c];
-            let mut cursor = 0u64;
-            for r in runs {
-                assert_eq!(r.col as usize, c);
-                assert_eq!(r.start, cursor, "runs tile the CSS in order");
-                cursor += r.len;
-            }
-            assert_eq!(cursor, css_len, "runs cover column {c}'s CSS");
+    fn column_runs_tile_each_css_in_order() {
+        // Long fields on 3 workers, so some fields split where a worker's
+        // range ends and reach the column as adjacent runs.
+        let text = |c: usize, row: usize| match c {
+            0 => row.to_string(),
+            1 => "xy".repeat(row % 9),
+            _ => (row * 7).to_string(),
+        };
+        let mut input = String::new();
+        for row in 0..40 {
+            input += &format!("{},\"{}\",{}\n", text(0, row), text(1, row), text(2, row));
         }
-        // Rows are non-decreasing within a column (input order preserved).
-        let rows: Vec<u32> = p.col_runs(1).unwrap().iter().map(|r| r.row).collect();
-        assert!(rows.windows(2).all(|w| w[0] <= w[1]));
+        let modes = [
+            TaggingMode::RecordTagged,
+            TaggingMode::InlineTerminated { terminator: 0 },
+            TaggingMode::VectorDelimited,
+        ];
+        let mut splits = 0;
+        for mode in modes {
+            for kernel in [PartitionKernel::RunScatter, PartitionKernel::RadixSort] {
+                let (exec, t) = tag(input.as_bytes(), mode, 3);
+                let chunk_runs = t.col_chunk_runs.clone();
+                let p = partition_by_column_with(&exec, t, 3, kernel).unwrap();
+                let at = format!("{} {kernel:?}", mode.name());
+                assert_eq!(p.col_chunk_runs, chunk_runs, "{at}");
+                for c in 0..3 {
+                    let runs = p.col_runs(c).unwrap();
+                    assert!(runs.iter().all(|r| r.col as usize == c), "{at}");
+                    let total: u64 = runs.iter().map(|r| r.len()).sum();
+                    assert_eq!(total as usize, p.css(c).len(), "{at}");
+                    // The implicit starts locate every field's text.
+                    let index = index_from_runs(runs);
+                    for k in 0..index.num_fields() {
+                        let want = text(c, index.rows[k] as usize);
+                        assert_eq!(&p.css(c)[index.field_range(k)], want.as_bytes(), "{at}");
+                    }
+                    if c == 0 {
+                        assert_eq!(index.rows, (0..40).collect::<Vec<u32>>(), "{at}");
+                    }
+                    splits += runs.len() - index.num_fields();
+                }
+            }
+        }
+        assert!(splits > 0, "no field split across workers");
     }
 }

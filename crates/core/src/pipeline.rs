@@ -320,9 +320,9 @@ impl Parser {
             // index falls out of a merge over run metadata — no per-byte
             // scan over the CSS at all. The counters charge the runs a
             // per-chunk tag kernel would have emitted.
+            let chunk_runs = part.col_chunk_runs[out_c];
             let index: FieldIndex = exec.launch("convert/index", css.len(), |_, counters| {
                 let index = index_from_runs(runs);
-                let chunk_runs: u64 = runs.iter().map(|r| u64::from(r.chunks)).sum();
                 counters.kernel_launches = 1;
                 counters.bytes_read = chunk_runs * crate::tagging::RUN_BYTES;
                 counters.parallel_ops = chunk_runs;

@@ -60,31 +60,66 @@ pub struct TagConfig<'a> {
 ///
 /// The paper's §3.3 observation that column tags are constant across each
 /// field's symbols means the tag phase can describe its output at field
-/// granularity. `start` indexes the *compacted* tagged symbol array (not
-/// the raw input — control symbols such as enclosure quotes are never
-/// emitted, so a field's raw bytes need not be contiguous). A field that
-/// crosses the end of one worker's chunk range yields two adjacent runs
-/// with the same row, merged back by [`crate::css::index_from_runs`];
-/// chunk boundaries inside a worker's range do not split runs.
+/// granularity. Runs tile their symbol array in order (the compacted
+/// tagged symbols in [`Tagged`], a column's CSS after partitioning), so a
+/// run's start is the sum of the lengths before it and is not stored. A
+/// field that crosses the end of one worker's chunk range yields two
+/// adjacent runs with the same row, merged back by
+/// [`crate::css::index_from_runs`]; chunk boundaries inside a worker's
+/// range do not split runs.
+///
+/// 16 bytes: the column, the row, and the symbol count with the `closed`
+/// flag in its top bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FieldRun {
     /// Output column tag.
     pub col: u32,
     /// Output row.
     pub row: u32,
-    /// Start offset into the tagged symbol array (global in [`Tagged`];
-    /// CSS-relative after partitioning).
-    pub start: u64,
+    /// Number of symbols in the low 63 bits, [`FieldRun::closed`] in the
+    /// top bit.
+    len_closed: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<FieldRun>() == 16);
+
+impl FieldRun {
+    const CLOSED: u64 = 1 << 63;
+
+    /// A run of `len` symbols of field (`col`, `row`).
+    pub fn new(col: u32, row: u32, len: u64, closed: bool) -> Self {
+        debug_assert!(len < Self::CLOSED);
+        FieldRun {
+            col,
+            row,
+            len_closed: len | if closed { Self::CLOSED } else { 0 },
+        }
+    }
+
     /// Number of symbols in the run.
-    pub len: u64,
+    #[inline]
+    pub fn len(&self) -> u64 {
+        self.len_closed & !Self::CLOSED
+    }
+
+    /// True when the run has no symbols (the tag walk never emits one).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// True when the run's last symbol is the field's terminator or
     /// delimiter (inline/vector modes; the field's data excludes it).
     /// Record-tagged mode never emits delimiters, so always false there.
-    pub closed: bool,
-    /// Number of chunks the run's symbols fall in: the runs the paper's
-    /// one-thread-per-chunk kernel emits for this piece of the field. The
-    /// cost model charges run traffic by it, not by this CPU code's runs.
-    pub chunks: u32,
+    #[inline]
+    pub fn closed(&self) -> bool {
+        self.len_closed & Self::CLOSED != 0
+    }
+
+    /// Append `len` symbols; `closed` replaces the run's flag.
+    #[inline]
+    fn extend(&mut self, len: u64, closed: bool) {
+        *self = FieldRun::new(self.col, self.row, self.len() + len, closed);
+    }
 }
 
 /// The tagging output: the compacted symbol stream and its field runs.
@@ -98,6 +133,11 @@ pub struct Tagged {
     /// Per-field runs tiling `symbols`, in input order — the field-granular
     /// metadata the partition kernels and the CSS index work from.
     pub runs: Vec<FieldRun>,
+    /// Per output column, the runs the paper's one-thread-per-chunk kernel
+    /// would emit for that column's fields: each field piece counts the
+    /// chunks its symbols fall in. The cost model charges run traffic by
+    /// these, not by this walk's runs.
+    pub col_chunk_runs: Vec<u64>,
     /// Per-output-row rejection flags.
     pub rejected: Bitmap,
     /// True when inline mode found the terminator byte inside field data.
@@ -120,12 +160,13 @@ pub fn tag_symbols(
     let n = input.len();
     let cs = chunk_size.max(1);
     let n_chunks = num_chunks(n, cs);
+    let num_out_cols = num_out_cols(cfg.col_map);
     let rejected = AtomicBitmap::new(cfg.num_out_rows as usize);
     let clash = AtomicBool::new(false);
 
-    let (symbols, runs) = exec.launch("tag", n_chunks, |grid, counters| {
-        // Walk A: count each worker range's symbols and runs, marking
-        // rejects and terminator clashes once.
+    let (symbols, runs, col_chunk_runs) = exec.launch("tag", n_chunks, |grid, counters| {
+        // Walk A: count each worker range's symbols, runs and modelled
+        // chunk-runs, marking rejects and terminator clashes once.
         let mut counts = vec![Emitted::default(); grid.partition(n_chunks).len()];
         {
             let count_w = SlotWriter::new(&mut counts);
@@ -148,21 +189,24 @@ pub fn tag_symbols(
         // Exclusive scan over the per-worker counts (one cell per worker).
         let mut sym_bases = Vec::with_capacity(counts.len());
         let mut run_bases = Vec::with_capacity(counts.len());
-        let mut total = Emitted::default();
+        let (mut total_symbols, mut total_runs) = (0, 0);
+        let mut col_chunk_runs = vec![0u64; num_out_cols];
         for e in &counts {
-            sym_bases.push(total.symbols as usize);
-            run_bases.push(total.runs as usize);
-            total.symbols += e.symbols;
-            total.runs += e.runs;
-            total.chunk_runs += e.chunk_runs;
+            sym_bases.push(total_symbols as usize);
+            run_bases.push(total_runs as usize);
+            total_symbols += e.symbols;
+            total_runs += e.runs;
+            for (sum, n) in col_chunk_runs.iter_mut().zip(&e.col_chunk_runs) {
+                *sum += n;
+            }
         }
 
         // Walk B: emit into pre-sized arena-backed arrays.
         let arena = exec.arena();
         let mut symbols = arena.take_u8("tag/symbols");
-        symbols.resize(total.symbols as usize, 0);
+        symbols.resize(total_symbols as usize, 0);
         let mut runs = arena.take_vec::<FieldRun>("tag/runs");
-        runs.resize(total.runs as usize, FieldRun::default());
+        runs.resize(total_runs as usize, FieldRun::default());
         {
             let sym_w = SlotWriter::new(&mut symbols);
             let run_w = SlotWriter::new(&mut runs);
@@ -184,7 +228,7 @@ pub fn tag_symbols(
         // Work counters model the paper's per-chunk GPU kernel, not this
         // walk: two passes over the input and its bitmaps, a column tag
         // per symbol plus the mode's record tag or delimiter flag, and the
-        // runs a per-chunk walker would emit (`FieldRun::chunks`).
+        // runs a per-chunk walker would emit (`Tagged::col_chunk_runs`).
         let per_symbol_out: u64 = 1
             + 4
             + match cfg.mode {
@@ -192,33 +236,37 @@ pub fn tag_symbols(
                 TaggingMode::InlineTerminated { .. } => 0,
                 TaggingMode::VectorDelimited => 1,
             };
+        let chunk_runs: u64 = col_chunk_runs.iter().sum();
         counters.kernel_launches = 2;
         counters.bytes_read = 2 * (n as u64 + n as u64 / 2);
-        counters.bytes_written = total.symbols * per_symbol_out + total.chunk_runs * RUN_BYTES;
+        counters.bytes_written = total_symbols * per_symbol_out + chunk_runs * RUN_BYTES;
         counters.parallel_ops = 2 * n as u64;
 
-        (symbols, runs)
+        (symbols, runs, col_chunk_runs)
     })?;
 
     Ok(Tagged {
         mode: cfg.mode,
         symbols,
         runs,
+        col_chunk_runs,
         rejected: rejected.into_bitmap(),
         terminator_clash: clash.load(Ordering::Relaxed),
     })
 }
 
-/// Cost-model size of one [`FieldRun`] (col + row + start + len + closed).
+/// Cost-model size of the paper kernel's run record (col + row + start +
+/// len + closed), not of this code's [`FieldRun`].
 pub(crate) const RUN_BYTES: u64 = 25;
 
 /// What one worker's walk emitted.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct Emitted {
     symbols: u64,
     runs: u64,
-    /// Sum of [`FieldRun::chunks`] over the runs.
-    chunk_runs: u64,
+    /// Modelled chunk-runs per output column (see
+    /// [`Tagged::col_chunk_runs`]).
+    col_chunk_runs: Vec<u64>,
 }
 
 /// Where the emitting walk writes: the global symbol and run arrays and
@@ -257,9 +305,9 @@ struct Walker<'a, 's> {
     /// `col` (`None` when dropped).
     row: Option<u64>,
     out_col: Option<u32>,
-    /// The open run; its `start` is relative to the worker's first symbol.
+    /// The open run.
     run: Option<FieldRun>,
-    /// For [`FieldRun::chunks`]: the end of the chunk holding the last
+    /// For the modelled chunk-runs: the end of the chunk holding the last
     /// appended byte, and its value when the open run last grew.
     cut: usize,
     run_cut: usize,
@@ -300,7 +348,10 @@ impl<'a, 's> Walker<'a, 's> {
             run: None,
             cut: first_chunk * chunk_size,
             run_cut: 0,
-            emitted: Emitted::default(),
+            emitted: Emitted {
+                col_chunk_runs: vec![0; num_out_cols(cfg.col_map)],
+                ..Emitted::default()
+            },
             sinks,
             marks,
         };
@@ -464,61 +515,50 @@ impl<'a, 's> Walker<'a, 's> {
                     .write_slice(s.sym_base + self.emitted.symbols as usize, symbols)
             };
         }
-        let extends = matches!(self.run, Some(r) if r.row == row && r.col == col && !r.closed);
+        let extends = matches!(self.run, Some(r) if r.row == row && r.col == col && !r.closed());
         // Count the chunks `a..b` falls in, less the one the open run
         // already has when the span starts in its last chunk.
         while self.cut <= a {
             self.cut += self.chunk_size;
         }
-        let mut chunks = u32::from(!extends || self.cut != self.run_cut);
+        let mut chunks = u64::from(!extends || self.cut != self.run_cut);
         while self.cut < b {
             self.cut += self.chunk_size;
             chunks += 1;
         }
         self.run_cut = self.cut;
-        self.emitted.chunk_runs += u64::from(chunks);
+        self.emitted.col_chunk_runs[col as usize] += chunks;
         let len = symbols.len() as u64;
         match &mut self.run {
-            Some(run) if extends => {
-                run.len += len;
-                run.closed = closed;
-                run.chunks = run.chunks.saturating_add(chunks);
-            }
+            Some(run) if extends => run.extend(len, closed),
             _ => {
                 self.flush();
-                self.run = Some(FieldRun {
-                    col,
-                    row,
-                    start: self.emitted.symbols,
-                    len,
-                    closed,
-                    chunks,
-                });
+                self.run = Some(FieldRun::new(col, row, len, closed));
             }
         }
         self.emitted.symbols += len;
     }
 
-    /// Write the open run (if any), rebasing its start to the global
-    /// symbol array.
+    /// Write the open run (if any).
     fn flush(&mut self) {
         if let Some(run) = self.run.take() {
             if let Some(s) = &self.sinks {
                 // SAFETY: the counting walk counted this worker's runs the
                 // same way, so the slot lies in the worker's own range.
-                unsafe {
-                    s.runs.write(
-                        s.run_base + self.emitted.runs as usize,
-                        FieldRun {
-                            start: s.sym_base as u64 + run.start,
-                            ..run
-                        },
-                    )
-                };
+                unsafe { s.runs.write(s.run_base + self.emitted.runs as usize, run) };
             }
             self.emitted.runs += 1;
         }
     }
+}
+
+/// Number of output columns `col_map` maps into.
+fn num_out_cols(col_map: &[Option<u32>]) -> usize {
+    col_map
+        .iter()
+        .flatten()
+        .max()
+        .map_or(0, |&c| c as usize + 1)
 }
 
 #[inline]
@@ -562,14 +602,19 @@ mod tests {
     /// `(column, row, symbols, closed)` per run, in input order: one run
     /// per field, since these tests tag on one worker.
     fn fields(t: &Tagged) -> Vec<(u32, u32, String, bool)> {
-        t.runs
+        let mut start = 0;
+        let fields = t
+            .runs
             .iter()
             .map(|r| {
-                let bytes = &t.symbols[r.start as usize..(r.start + r.len) as usize];
+                let bytes = &t.symbols[start..start + r.len() as usize];
+                start += bytes.len();
                 let text = String::from_utf8_lossy(bytes).into_owned();
-                (r.col, r.row, text, r.closed)
+                (r.col, r.row, text, r.closed())
             })
-            .collect()
+            .collect();
+        assert_eq!(start, t.symbols.len(), "runs tile the symbols");
+        fields
     }
 
     fn field(col: u32, row: u32, text: &str, closed: bool) -> (u32, u32, String, bool) {

@@ -15,7 +15,8 @@ pub struct PhaseTimings {
     pub scan: Duration,
     /// Symbol tagging (both compaction passes).
     pub tag: Duration,
-    /// Radix partitioning by column.
+    /// Partitioning by column: the run scatter by default, or the radix
+    /// sort reference (see [`PartitionKernel`](crate::PartitionKernel)).
     pub partition: Duration,
     /// CSS indexing, inference, and type conversion.
     pub convert: Duration,

@@ -4,7 +4,8 @@
 //! words and splits a field's run only where a worker's chunk range ends.
 //! The reference below reads the same bitmaps one bit at a time over the
 //! whole input. Both must agree on the compacted symbols, the field runs
-//! (after joining worker splits), the reject bitmap, the diagnostics and
+//! (after joining worker splits, with starts implied by the order), the
+//! per-column modelled chunk-runs, the reject bitmap, the diagnostics and
 //! the terminator clash — across tagging modes, skipped records, dropped
 //! and out-of-range columns, column-count validation, inputs with reject
 //! bits, chunk sizes that straddle bitmap words, worker counts and both
@@ -25,22 +26,39 @@ fn meta_on(exec: &KernelExecutor, dfa: &Dfa, input: &[u8], chunk_size: usize) ->
     identify_columns_and_records(exec, dfa, input, chunk_size, &ctx.start_states).unwrap()
 }
 
-/// Join runs split at worker-range ends back into one run per field.
-fn merged(runs: &[FieldRun]) -> Vec<FieldRun> {
-    let mut out: Vec<FieldRun> = Vec::new();
-    for &r in runs {
+/// One field of the reference, in input order: where its symbols start
+/// in the compacted array and the distinct chunks they fall in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RefRun {
+    col: u32,
+    row: u32,
+    start: u64,
+    len: u64,
+    closed: bool,
+    chunks: u64,
+}
+
+/// `(col, row, start, len, closed)` per field: the reference's runs, or
+/// the tag walk's runs with starts taken as the running sum of lengths and
+/// worker splits joined back (same field, previous piece not closed).
+fn fields_of(runs: &[RefRun]) -> Vec<(u32, u32, u64, u64, bool)> {
+    runs.iter()
+        .map(|r| (r.col, r.row, r.start, r.len, r.closed))
+        .collect()
+}
+
+fn merged(runs: &[FieldRun]) -> Vec<(u32, u32, u64, u64, bool)> {
+    let mut out: Vec<(u32, u32, u64, u64, bool)> = Vec::new();
+    let mut start = 0;
+    for r in runs {
         match out.last_mut() {
-            Some(last)
-                if (last.col, last.row) == (r.col, r.row)
-                    && !last.closed
-                    && last.start + last.len == r.start =>
-            {
-                last.len += r.len;
-                last.closed = r.closed;
-                last.chunks += r.chunks;
+            Some((col, row, _, len, closed)) if (*col, *row) == (r.col, r.row) && !*closed => {
+                *len += r.len();
+                *closed = r.closed();
             }
-            _ => out.push(r),
+            _ => out.push((r.col, r.row, start, r.len(), r.closed())),
         }
+        start += r.len();
     }
     out
 }
@@ -50,10 +68,21 @@ fn merged(runs: &[FieldRun]) -> Vec<FieldRun> {
 /// `chunks` counted as the distinct chunks each field's symbols hit.
 struct Reference {
     symbols: Vec<u8>,
-    runs: Vec<FieldRun>,
+    runs: Vec<RefRun>,
     rejected: Bitmap,
     diags: Vec<RecordDiagnostic>,
     clash: bool,
+}
+
+impl Reference {
+    /// The modelled chunk-runs summed per output column.
+    fn col_chunk_runs(&self, num_cols: usize) -> Vec<u64> {
+        let mut sums = vec![0; num_cols];
+        for r in &self.runs {
+            sums[r.col as usize] += r.chunks;
+        }
+        sums
+    }
 }
 
 fn reference(input: &[u8], chunk_size: usize, meta: &MetaPass, cfg: &TagConfig) -> Reference {
@@ -122,9 +151,9 @@ fn reference(input: &[u8], chunk_size: usize, meta: &MetaPass, cfg: &TagConfig) 
                 Some(run) if (run.col, run.row) == (oc, row as u32) && !run.closed => {
                     run.len += 1;
                     run.closed = is_delim;
-                    run.chunks += u32::from(chunk != last_chunk);
+                    run.chunks += u64::from(chunk != last_chunk);
                 }
-                _ => r.runs.push(FieldRun {
+                _ => r.runs.push(RefRun {
                     col: oc,
                     row: row as u32,
                     start: r.symbols.len() as u64,
@@ -253,7 +282,13 @@ fn word_walk_matches_byte_reference() {
                                 let want = reference(input, cs, &meta, &cfg);
                                 let got = tag_symbols(&exec, input, cs, &meta, &cfg).unwrap();
                                 assert_eq!(got.symbols, want.symbols, "{at}");
-                                assert_eq!(merged(&got.runs), want.runs, "{at}");
+                                assert_eq!(merged(&got.runs), fields_of(&want.runs), "{at}");
+                                let num_cols = cfg.col_map.iter().flatten().count();
+                                assert_eq!(
+                                    got.col_chunk_runs,
+                                    want.col_chunk_runs(num_cols),
+                                    "{at}"
+                                );
                                 assert_eq!(got.rejected, want.rejected, "{at}");
                                 assert_eq!(got.terminator_clash, want.clash, "{at}");
                                 assert_eq!(sink.into_sorted(), want.diags, "{at}");

@@ -15,8 +15,6 @@
 //!   *single-pass decoupled look-back* variants ([`scan`], [`lookback`]),
 //! * parallel **reduction** ([`reduce`]),
 //! * parallel **histogram** ([`histogram`]),
-//! * **run-length encoding** used to build the CSS index from record tags
-//!   ([`rle`]),
 //! * a **stable LSD radix sort** used to partition symbols by column tag
 //!   ([`radix`]),
 //! * **bitmap** indexes with population-count helpers used for the record /
@@ -49,7 +47,6 @@ pub mod lookback;
 pub mod pool;
 pub mod radix;
 pub mod reduce;
-pub mod rle;
 pub mod rng;
 pub mod scan;
 
