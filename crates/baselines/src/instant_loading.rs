@@ -18,7 +18,7 @@
 //!   Amdahl turns into a hard ceiling; the work profile records it.
 
 use parparaw_columnar::{DataType, Field, Schema, Table};
-use parparaw_core::convert::convert_column;
+use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::FieldIndex;
 use parparaw_core::infer::infer_column_type;
 use parparaw_core::ParseError;
@@ -204,7 +204,7 @@ impl InstantLoadingParser {
                     },
                 ),
             };
-            let out = convert_column(
+            let out = convert_column_with_diags(
                 conv_grid,
                 &css,
                 &index,
@@ -213,6 +213,7 @@ impl InstantLoadingParser {
                 field.default.as_ref(),
                 &rejected,
                 usize::MAX,
+                None,
             );
             columns.push(out.column);
             fields_meta.push(field);

@@ -14,7 +14,7 @@
 //! corrupts everything after it, which the tests demonstrate.
 
 use parparaw_columnar::{Field, Schema, Table};
-use parparaw_core::convert::convert_column;
+use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::FieldIndex;
 use parparaw_core::infer::infer_column_type;
 use parparaw_core::ParseError;
@@ -177,7 +177,7 @@ impl QuoteParityParser {
                     infer_column_type(&self.grid, &css, &index),
                 ),
             };
-            let out = convert_column(
+            let out = convert_column_with_diags(
                 &self.grid,
                 &css,
                 &index,
@@ -186,6 +186,7 @@ impl QuoteParityParser {
                 field.default.as_ref(),
                 &rejected,
                 usize::MAX,
+                None,
             );
             columns.push(out.column);
             fields_meta.push(field);

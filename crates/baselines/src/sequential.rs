@@ -9,7 +9,7 @@
 //! only come from the parallelisation strategy.
 
 use parparaw_columnar::{DataType, Field, Schema, Table};
-use parparaw_core::convert::convert_column;
+use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::FieldIndex;
 use parparaw_core::infer::infer_column_type;
 use parparaw_core::options::ParserOptions;
@@ -161,7 +161,7 @@ impl SequentialParser {
                     Field::new(&format!("c{raw_c}"), dtype)
                 }
             };
-            let out = convert_column(
+            let out = convert_column_with_diags(
                 &grid,
                 &css,
                 &index,
@@ -170,6 +170,7 @@ impl SequentialParser {
                 field.default.as_ref(),
                 &rejected,
                 usize::MAX, // a sequential parser has no collaboration levels
+                None,
             );
             columns.push(out.column);
             fields_meta.push(field);

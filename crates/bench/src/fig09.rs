@@ -9,7 +9,7 @@
 use crate::datasets::Dataset;
 use crate::{bench_ms, bench_ms_consuming, report};
 use parparaw_core::context::determine_contexts_with;
-use parparaw_core::convert::convert_column;
+use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::index_from_runs;
 use parparaw_core::meta::identify_columns_and_records;
 use parparaw_core::options::{PartitionKernel, ScanAlgorithm};
@@ -136,7 +136,7 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
                 let mut total = 0usize;
                 for c in 0..num_cols {
                     let index = index_from_runs(part.col_runs(c).expect("run scatter has runs"));
-                    let out = convert_column(
+                    let out = convert_column_with_diags(
                         &grid,
                         part.css(c),
                         &index,
@@ -145,6 +145,7 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
                         schema.fields[c].default.as_ref(),
                         &rejected,
                         threshold,
+                        None,
                     );
                     total += out.column.len();
                 }

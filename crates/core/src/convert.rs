@@ -1,12 +1,12 @@
 //! Columnar type conversion (paper §3.3, Fig. 5).
 //!
 //! Given a column's CSS and field index, conversion produces the typed
-//! Arrow-style column: by default one virtual thread converts one field
-//! (thread-exclusive collaboration); fields larger than the collaboration
-//! threshold are deferred and handled by a grid-wide parallel copy
-//! afterwards — the block/device-level collaboration of the paper, which
-//! exists because a single 200 MB field must not serialise on one thread
-//! (see the skew experiment, Fig. 11 right).
+//! Arrow-style column. Fixed-width types convert one field per virtual
+//! thread. Utf8 columns copy their bytes in one pass split evenly over the
+//! output bytes, so a single 200 MB field never serialises on one thread
+//! (the skew experiment, Fig. 11 right): this one copy does the work of
+//! the paper's block- and device-level collaboration, whose tiers are kept
+//! as modelled field counts.
 //!
 //! The byte-level field parsers live here too and are shared with the
 //! baseline parsers so that comparisons measure parallelisation strategy,
@@ -367,47 +367,29 @@ pub struct ConvertedColumn {
     pub column: Column,
     /// Fields whose conversion failed (null in the output).
     pub reject_count: u64,
-    /// Fields routed through the block/device-level collaboration path.
+    /// Utf8 fields the paper would hand to block- or device-level
+    /// collaboration (§3.3): longer than a thread's budget,
+    /// `max(threshold / 64, 256)` bytes. A modelled count — on the host
+    /// every Utf8 byte goes through the same byte-split copy.
     pub collaborative_fields: u64,
-    /// Of those, fields small enough for block-level collaboration (the
-    /// middle tier of paper §3.3: larger than a thread's budget but within
-    /// a thread-block's shared memory).
+    /// Of those, fields within the device threshold: the paper's
+    /// block-level middle tier (larger than a thread's budget but within a
+    /// thread-block's shared memory). The rest are device-level.
     pub block_level_fields: u64,
     /// Work profile of this column's conversion kernels.
     pub profile: WorkProfile,
 }
 
-/// Convert one column's CSS into a typed column of `num_rows` rows.
+/// Convert one column's CSS into a typed column of `num_rows` rows,
+/// reporting each failed conversion as a [`RecordDiagnostic`] on the sink
+/// when one is given (tagged with the given output-column index; the sink
+/// de-duplicates, so a retried launch is safe).
 ///
 /// Rows absent from the index (empty fields) become the field `default`
 /// or null; rows flagged in `rejected` become null unconditionally.
-#[allow(clippy::too_many_arguments)]
-pub fn convert_column(
-    grid: &Grid,
-    css: &[u8],
-    index: &FieldIndex,
-    num_rows: usize,
-    dtype: DataType,
-    default: Option<&Value>,
-    rejected: &Bitmap,
-    collaboration_threshold: usize,
-) -> ConvertedColumn {
-    convert_column_with_diags(
-        grid,
-        css,
-        index,
-        num_rows,
-        dtype,
-        default,
-        rejected,
-        collaboration_threshold,
-        None,
-    )
-}
-
-/// [`convert_column`], additionally reporting each failed conversion as a
-/// [`RecordDiagnostic`] on the sink (tagged with the given output-column
-/// index). The sink de-duplicates, so a retried launch is safe.
+/// `collaboration_threshold` is the device-level field size of paper
+/// §3.3; it only classifies Utf8 fields into the modelled tiers of
+/// [`ConvertedColumn`], and the output does not depend on it.
 #[allow(clippy::too_many_arguments)]
 pub fn convert_column_with_diags(
     grid: &Grid,
@@ -606,8 +588,21 @@ fn convert_fixed(
     Column::new(data, Some(validity)).expect("buffers sized to num_rows")
 }
 
-/// Utf8 conversion: per-row lengths → offset scan → parallel scatter, with
-/// giant fields deferred to a grid-wide copy (device-level collaboration).
+/// Utf8 conversion: row → field map, per-row lengths, offset scan, then
+/// one byte-split copy.
+///
+/// One rule gives every row its bytes, and both passes read it: a
+/// rejected row is null; an absent or present-but-empty field takes the
+/// Utf8 default, or null without one (paper §4.3's empty-string handling,
+/// which keeps the tagging modes semantically identical: record-tagged
+/// mode cannot even represent an empty field); any other row takes its
+/// CSS slice. The copy splits the *output* bytes evenly across workers and
+/// each worker copies the overlap of every row's byte range with its own,
+/// so a giant field is shared by all workers (the paper's device level)
+/// and many long fields balance by bytes (the block level), with nothing
+/// deferred. The §3.3 levels remain as the modelled counts: the length
+/// pass classifies each CSS field against the thread budget and the
+/// device threshold.
 #[allow(clippy::too_many_arguments)]
 fn convert_utf8(
     grid: &Grid,
@@ -621,15 +616,13 @@ fn convert_utf8(
     block_level: &AtomicU64,
     profile: &mut WorkProfile,
 ) -> Column {
-    // Paper §3.3's middle tier: a thread's private budget is a fraction of
-    // a thread-block's shared memory (64 threads per block); fields above
-    // it but below the device threshold are handled block-cooperatively.
-    let thread_threshold = (collaboration_threshold / 64).max(256);
-    let default_str: Option<&str> = match default {
-        Some(Value::Utf8(s)) => Some(s.as_str()),
+    // A thread's private budget is a fraction of a thread-block's shared
+    // memory (64 threads per block).
+    let thread_budget = (collaboration_threshold / 64).max(256);
+    let default_bytes: Option<&[u8]> = match default {
+        Some(Value::Utf8(s)) => Some(s.as_bytes()),
         _ => None,
     };
-    let default_len = default_str.map(|s| s.len()).unwrap_or(0);
 
     // Row → field mapping (u32::MAX = absent).
     let mut field_of_row = vec![u32::MAX; num_rows];
@@ -646,118 +639,73 @@ fn convert_utf8(
         });
     }
 
-    // Lengths per row. A present-but-empty field means the same as an
-    // absent one (paper §4.3's empty-string handling), which keeps the
-    // tagging modes semantically identical: record-tagged mode cannot
-    // even represent an empty field.
-    let lengths: Vec<u64> = grid.map_indexed(num_rows, |row| {
+    // The row's bytes (`None` = null) and whether they are its CSS field.
+    let row_bytes = |row: usize| -> Option<(&[u8], bool)> {
         if rejected.get(row) {
-            0
-        } else {
-            match field_of_row[row] {
-                u32::MAX => default_len as u64,
-                k => match index.field_len(k as usize) {
-                    0 => default_len as u64,
-                    len => len as u64,
-                },
-            }
+            return None;
         }
-    });
-    let (offsets_excl, total_bytes) = parparaw_parallel::scan::exclusive_scan_total(
+        match field_of_row[row] {
+            u32::MAX => default_bytes.map(|d| (d, false)),
+            k => match index.field_range(k as usize) {
+                r if r.is_empty() => default_bytes.map(|d| (d, false)),
+                r => Some((&css[r], true)),
+            },
+        }
+    };
+
+    let mut lengths = vec![0u64; num_rows];
+    let mut valid = vec![0u8; num_rows];
+    {
+        let lw = SlotWriter::new(&mut lengths);
+        let vw = SlotWriter::new(&mut valid);
+        grid.run_partitioned(num_rows, |_, rows| {
+            let (mut wide, mut block) = (0u64, 0u64);
+            for row in rows {
+                grid.check_abort(row);
+                let Some((bytes, is_field)) = row_bytes(row) else {
+                    continue;
+                };
+                unsafe {
+                    lw.write(row, bytes.len() as u64);
+                    vw.write(row, 1);
+                }
+                if is_field && bytes.len() > thread_budget {
+                    wide += 1;
+                    block += u64::from(bytes.len() <= collaboration_threshold);
+                }
+            }
+            collab.fetch_add(wide, Ordering::Relaxed);
+            block_level.fetch_add(block, Ordering::Relaxed);
+        });
+    }
+    let (mut offsets, total_bytes) = parparaw_parallel::scan::exclusive_scan_total(
         grid,
         &lengths,
         &parparaw_parallel::scan::AddOp,
     );
-
-    let mut offsets = offsets_excl;
     offsets.push(total_bytes);
+
     let mut values = vec![0u8; total_bytes as usize];
-    let mut valid = vec![0u8; num_rows];
-
-    // Scatter pass: thread-exclusive for ordinary fields, deferred for
-    // giants.
-    let mut giants: Vec<usize> = Vec::new();
     {
-        let vw = SlotWriter::new(&mut values);
-        let aw = SlotWriter::new(&mut valid);
-        let giant_list = parking_lot_free_collect(grid, num_rows, |row| {
-            let dst = offsets[row] as usize;
-            if rejected.get(row) {
-                return None;
-            }
-            match field_of_row[row] {
-                u32::MAX => {
-                    if let Some(d) = default_str {
-                        for (i, &b) in d.as_bytes().iter().enumerate() {
-                            unsafe { vw.write(dst + i, b) };
-                        }
-                        unsafe { aw.write(row, 1) };
-                    }
-                    None
+        let out = SlotWriter::new(&mut values);
+        grid.run_partitioned(total_bytes as usize, |_, span| {
+            // The first row whose byte range ends past this worker's start.
+            let first = offsets[1..].partition_point(|&end| end as usize <= span.start);
+            for row in first..num_rows {
+                let (start, end) = (offsets[row] as usize, offsets[row + 1] as usize);
+                if start >= span.end {
+                    break;
                 }
-                k => {
-                    let range = index.field_range(k as usize);
-                    if range.is_empty() {
-                        // Present but empty: default/NULL, like absent.
-                        if let Some(d) = default_str {
-                            for (i, &b) in d.as_bytes().iter().enumerate() {
-                                unsafe { vw.write(dst + i, b) };
-                            }
-                            unsafe { aw.write(row, 1) };
-                        }
-                        return None;
-                    }
-                    unsafe { aw.write(row, 1) };
-                    if range.len() > thread_threshold {
-                        // Defer: block-level if it fits a thread-block's
-                        // shared memory, device-level otherwise.
-                        if range.len() <= collaboration_threshold {
-                            block_level.fetch_add(1, Ordering::Relaxed);
-                        }
-                        return Some(row);
-                    }
-                    for (i, &b) in css[range].iter().enumerate() {
-                        unsafe { vw.write(dst + i, b) };
-                    }
-                    None
-                }
+                grid.check_abort(row - first);
+                let Some((bytes, _)) = row_bytes(row) else {
+                    continue; // null: no bytes
+                };
+                let (lo, hi) = (start.max(span.start), end.min(span.end));
+                // SAFETY: `lo..hi` lies inside this worker's span, and the
+                // spans are disjoint.
+                unsafe { out.write_slice(lo, &bytes[lo - start..hi - start]) };
             }
         });
-        giants.extend(giant_list);
-
-        // Split the deferred fields into the two cooperative tiers.
-        let (block_rows, device_rows): (Vec<usize>, Vec<usize>) =
-            giants.iter().partition(|&&row| {
-                index.field_range(field_of_row[row] as usize).len() <= collaboration_threshold
-            });
-        collab.fetch_add(giants.len() as u64, Ordering::Relaxed);
-
-        // Block-level collaboration: each field fits a thread-block's
-        // budget; fields are claimed dynamically so skewed lengths
-        // load-balance (one block per field, many blocks in flight).
-        grid.run_dynamic(block_rows.len(), 1, |i| {
-            let row = block_rows[i];
-            let src = index.field_range(field_of_row[row] as usize);
-            let dst0 = offsets[row] as usize;
-            for (i, &b) in css[src].iter().enumerate() {
-                unsafe { vw.write(dst0 + i, b) };
-            }
-        });
-
-        // Device-level collaboration: all workers cooperate on each truly
-        // giant field, the same data-parallel chunking as the pipeline.
-        for &row in &device_rows {
-            let k = field_of_row[row] as usize;
-            let src = index.field_range(k);
-            let dst0 = offsets[row] as usize;
-            let src_start = src.start;
-            let len = src.len();
-            grid.run_partitioned(len, |_, r| {
-                for i in r {
-                    unsafe { vw.write(dst0 + i, css[src_start + i]) };
-                }
-            });
-        }
     }
 
     profile.bytes_written += total_bytes + num_rows as u64 * 9;
@@ -766,30 +714,6 @@ fn convert_utf8(
     let validity = validity_from_flags(&valid);
     Column::new(ColumnData::Utf8 { offsets, values }, Some(validity))
         .expect("offsets built from scan are monotonic")
-}
-
-/// Run `f(i)` for each index, collecting the `Some` results. Results are
-/// gathered per worker then concatenated in worker order (deterministic).
-fn parking_lot_free_collect<F>(grid: &Grid, n: usize, f: F) -> Vec<usize>
-where
-    F: Fn(usize) -> Option<usize> + Sync,
-{
-    let parts = grid.partition(n);
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); parts.len()];
-    {
-        let bw = SlotWriter::new(&mut buckets);
-        grid.run_partitioned(n, |w, range| {
-            let mut local = Vec::new();
-            for i in range {
-                grid.check_abort(i);
-                if let Some(x) = f(i) {
-                    local.push(x);
-                }
-            }
-            unsafe { bw.write(w, local) };
-        });
-    }
-    buckets.concat()
 }
 
 fn default_i64(default: Option<&Value>) -> i64 {
@@ -903,7 +827,7 @@ mod tests {
     fn converts_i64_column_with_missing_and_bad_rows() {
         let grid = Grid::new(2);
         let (css, idx) = simple_index(&[(b"10", 0), (b"oops", 2), (b"30", 3)]);
-        let out = convert_column(
+        let out = convert_column_with_diags(
             &grid,
             &css,
             &idx,
@@ -912,6 +836,7 @@ mod tests {
             None,
             &Bitmap::new(4),
             1 << 20,
+            None,
         );
         assert_eq!(out.reject_count, 1);
         let c = out.column;
@@ -925,7 +850,7 @@ mod tests {
     fn default_fills_missing_rows() {
         let grid = Grid::new(2);
         let (css, idx) = simple_index(&[(b"1", 0)]);
-        let out = convert_column(
+        let out = convert_column_with_diags(
             &grid,
             &css,
             &idx,
@@ -934,6 +859,7 @@ mod tests {
             Some(&Value::Int64(99)),
             &Bitmap::new(3),
             1 << 20,
+            None,
         );
         let c = out.column;
         assert_eq!(c.value(1), Value::Int64(99));
@@ -945,7 +871,7 @@ mod tests {
     fn empty_present_field_takes_default() {
         let grid = Grid::new(1);
         let (css, idx) = simple_index(&[(b"", 0), (b"5", 1)]);
-        let out = convert_column(
+        let out = convert_column_with_diags(
             &grid,
             &css,
             &idx,
@@ -954,6 +880,7 @@ mod tests {
             Some(&Value::Int64(-1)),
             &Bitmap::new(2),
             1 << 20,
+            None,
         );
         assert_eq!(out.column.value(0), Value::Int64(-1));
         assert_eq!(out.reject_count, 0);
@@ -965,60 +892,166 @@ mod tests {
         let (css, idx) = simple_index(&[(b"1", 0), (b"2", 1)]);
         let mut rej = Bitmap::new(2);
         rej.set(1);
-        let out = convert_column(&grid, &css, &idx, 2, DataType::Int64, None, &rej, 1 << 20);
-        assert_eq!(out.column.value(1), Value::Null);
-        assert_eq!(out.column.value(0), Value::Int64(1));
-    }
-
-    #[test]
-    fn utf8_column_roundtrip() {
-        let grid = Grid::new(3);
-        let (css, idx) = simple_index(&[(b"Bookcase", 0), (b"Frame", 1), (b"", 3)]);
-        let out = convert_column(
-            &grid,
-            &css,
-            &idx,
-            4,
-            DataType::Utf8,
-            None,
-            &Bitmap::new(4),
-            1 << 20,
-        );
-        let c = out.column;
-        assert_eq!(c.value(0), Value::Utf8("Bookcase".into()));
-        assert_eq!(c.value(1), Value::Utf8("Frame".into()));
-        assert_eq!(c.value(2), Value::Null); // absent row
-                                             // Present-but-empty is NULL too: record-tagged mode cannot even
-                                             // represent an empty field, so all modes agree on NULL.
-        assert_eq!(c.value(3), Value::Null);
-    }
-
-    #[test]
-    fn giant_field_takes_collaboration_path() {
-        let grid = Grid::new(3);
-        let giant = vec![b'x'; 10_000];
-        let (css, idx) = simple_index(&[(b"small", 0), (&giant, 1)]);
-        let out = convert_column(
+        let out = convert_column_with_diags(
             &grid,
             &css,
             &idx,
             2,
-            DataType::Utf8,
+            DataType::Int64,
             None,
-            &Bitmap::new(2),
-            1024, // low threshold forces collaboration
+            &rej,
+            1 << 20,
+            None,
         );
-        assert_eq!(out.collaborative_fields, 1);
-        assert_eq!(out.column.utf8_bytes(1).unwrap().len(), 10_000);
-        assert!(out.column.utf8_bytes(1).unwrap().iter().all(|&b| b == b'x'));
-        assert_eq!(out.column.value(0), Value::Utf8("small".into()));
+        assert_eq!(out.column.value(1), Value::Null);
+        assert_eq!(out.column.value(0), Value::Int64(1));
+    }
+
+    /// Utf8-convert `fields` into `num_rows` rows on `grid`.
+    fn utf8(
+        grid: &Grid,
+        fields: &[(&[u8], u32)],
+        num_rows: usize,
+        default: Option<&Value>,
+        rejected: &Bitmap,
+        threshold: usize,
+    ) -> ConvertedColumn {
+        let (css, idx) = simple_index(fields);
+        let dtype = DataType::Utf8;
+        convert_column_with_diags(
+            grid, &css, &idx, num_rows, dtype, default, rejected, threshold, None,
+        )
+    }
+
+    #[test]
+    fn byte_split_copy_matches_hand_built_column_on_every_grid() {
+        // A giant field holds most of the output bytes, so on every grid
+        // with more than one worker the cuts between worker spans fall
+        // inside it; the small rows around it straddle the other cuts.
+        let giant: Vec<u8> = (0..700u32).map(|i| b'a' + (i % 26) as u8).collect();
+        let giant_str = String::from_utf8(giant.clone()).unwrap();
+        let fields: &[(&[u8], u32)] = &[
+            (b"alpha", 0),
+            // row 1 absent
+            (b"", 2),         // present but empty: same as absent
+            (b"rejected", 3), // its record is rejected
+            (&giant, 4),
+            (b"omega", 5),
+            (b"tail", 6),
+            // rows 7 and 8 absent (trailing)
+        ];
+        let num_rows = 9;
+        let mut rejected = Bitmap::new(num_rows);
+        rejected.set(3);
+        for default in [None, Some("dflt")] {
+            let fill = default
+                .map(|d| Value::Utf8(d.into()))
+                .unwrap_or(Value::Null);
+            let want = [
+                Value::Utf8("alpha".into()),
+                fill.clone(),
+                fill.clone(),
+                Value::Null,
+                Value::Utf8(giant_str.clone()),
+                Value::Utf8("omega".into()),
+                Value::Utf8("tail".into()),
+                fill.clone(),
+                fill.clone(),
+            ];
+            let default = default.map(|d| Value::Utf8(d.into()));
+            let run = |workers| {
+                let grid = Grid::new(workers);
+                utf8(
+                    &grid,
+                    fields,
+                    num_rows,
+                    default.as_ref(),
+                    &rejected,
+                    1 << 20,
+                )
+                .column
+            };
+            let one = run(1);
+            for workers in [1, 2, 3, 8] {
+                let c = run(workers);
+                let ColumnData::Utf8 { values, .. } = c.data() else {
+                    unreachable!("a Utf8 column")
+                };
+                if workers > 1 {
+                    assert!(giant.len() > values.len() / workers, "a cut falls inside");
+                }
+                let got: Vec<Value> = (0..num_rows).map(|r| c.value(r)).collect();
+                assert_eq!(got, want, "{workers} workers, default {default:?}");
+                assert_eq!(c, one, "{workers} workers, default {default:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn tier_counts_split_at_budget_and_threshold() {
+        // Threshold 64 KiB: the thread budget is 1 KiB. Fields at the
+        // budget stay thread-level, one byte over is block-level, up to
+        // the threshold; one byte past it is device-level. A long default
+        // and a rejected giant are not fields, so they are never counted.
+        let threshold = 1 << 16;
+        let budget = threshold / 64;
+        let lens = [budget, budget + 1, threshold, threshold + 1, 2 * threshold];
+        let bodies: Vec<Vec<u8>> = lens.iter().map(|&n| vec![b'z'; n]).collect();
+        let fields: Vec<(&[u8], u32)> = bodies
+            .iter()
+            .enumerate()
+            .map(|(r, b)| (b.as_slice(), r as u32))
+            .collect();
+        let num_rows = lens.len() + 1; // last row absent → default
+        let mut rejected = Bitmap::new(num_rows);
+        rejected.set(4);
+        let default = Value::Utf8("d".repeat(2 * budget));
+        for workers in [1, 3] {
+            let grid = Grid::new(workers);
+            let out = utf8(
+                &grid,
+                &fields,
+                num_rows,
+                Some(&default),
+                &rejected,
+                threshold,
+            );
+            assert_eq!(
+                out.collaborative_fields, 3,
+                "budget+1, threshold, threshold+1"
+            );
+            assert_eq!(out.block_level_fields, 2, "budget+1, threshold");
+            for (r, &n) in lens.iter().enumerate().take(4) {
+                assert_eq!(out.column.utf8_bytes(r).unwrap().len(), n);
+            }
+            assert_eq!(out.column.value(4), Value::Null);
+            assert_eq!(out.column.value(5), default);
+        }
+    }
+
+    #[test]
+    fn fired_cancel_token_fails_the_conversion_launch() {
+        use parparaw_parallel::{CancelToken, KernelExecutor};
+        let token = CancelToken::new();
+        let exec = KernelExecutor::new(Grid::new(2)).with_cancel(token.clone());
+        let giant = vec![b'q'; 100_000];
+        let fields: &[(&[u8], u32)] = &[(b"a", 0), (&giant, 1)];
+        let err = exec
+            .launch("convert/column", giant.len(), |grid, _| {
+                // The launch starts armed; the token fires before the
+                // kernel's first pass, whose polls must see it.
+                token.cancel();
+                utf8(grid, fields, 2, None, &Bitmap::new(2), 1024)
+            })
+            .unwrap_err();
+        assert!(err.is_cancelled(), "{err}");
     }
 
     #[test]
     fn decimal_column() {
         let grid = Grid::new(2);
         let (css, idx) = simple_index(&[(b"12.34", 0), (b"-0.5", 1)]);
-        let out = convert_column(
+        let out = convert_column_with_diags(
             &grid,
             &css,
             &idx,
@@ -1027,6 +1060,7 @@ mod tests {
             None,
             &Bitmap::new(2),
             1 << 20,
+            None,
         );
         assert_eq!(out.column.value(0), Value::Decimal128(1234, 2));
         assert_eq!(out.column.value(1), Value::Decimal128(-50, 2));

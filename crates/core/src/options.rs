@@ -190,10 +190,6 @@ pub struct ParserOptions {
     /// Reject records whose column count differs from the schema /
     /// inferred count (§4.3, "inferring or validating number of columns").
     pub validate_column_count: bool,
-    /// Field size in bytes above which the block/device-level
-    /// collaboration path is taken (§3.3). `None` derives it from the
-    /// device's shared-memory size.
-    pub collaboration_threshold: Option<usize>,
     /// The simulated device used for cost accounting.
     pub device: DeviceConfig,
     /// Prefix-scan implementation for the context scan.
@@ -249,7 +245,6 @@ impl Default for ParserOptions {
             skip_rows: Vec::new(),
             header: false,
             validate_column_count: false,
-            collaboration_threshold: None,
             device: DeviceConfig::titan_x_pascal(),
             scan_algorithm: ScanAlgorithm::default(),
             partition_kernel: PartitionKernel::default(),
@@ -334,10 +329,12 @@ impl ParserOptions {
         self
     }
 
-    /// The effective collaboration threshold.
+    /// The device-level field size of paper §3.3, derived from the
+    /// device's shared memory. It classifies Utf8 fields into the modelled
+    /// collaboration tiers ([`crate::ParseStats::collaborative_fields`]);
+    /// the output does not depend on it.
     pub fn effective_collaboration_threshold(&self) -> usize {
-        self.collaboration_threshold
-            .unwrap_or_else(|| self.device.collaboration_threshold_bytes())
+        self.device.collaboration_threshold_bytes()
     }
 
     /// Build a [`KernelExecutor`] configured with this options' grid,
@@ -394,10 +391,13 @@ mod tests {
             o.device.collaboration_threshold_bytes()
         );
         let o = ParserOptions {
-            collaboration_threshold: Some(1234),
+            device: DeviceConfig {
+                shared_mem_per_sm_kib: 8,
+                ..DeviceConfig::titan_x_pascal()
+            },
             ..ParserOptions::default()
         };
-        assert_eq!(o.effective_collaboration_threshold(), 1234);
+        assert_eq!(o.effective_collaboration_threshold(), 2048);
     }
 
     #[test]

@@ -57,22 +57,13 @@ pub struct Partitioned {
 }
 
 /// Partition the tagged symbols into per-column CSSs as one instrumented
-/// `partition` launch, using the default run-scatter kernel.
+/// `partition` launch, using `kernel`.
 ///
 /// The consumed tag buffers go back to the executor's arena (so the next
 /// pipeline run's `tag` launch reuses them) and the output arrays come
 /// from it (labels `partition/symbols`, `partition/runs`). The pipeline
 /// puts those outputs back once the convert phase has consumed the CSSs,
 /// closing the reuse cycle across streaming runs.
-pub fn partition_by_column(
-    exec: &KernelExecutor,
-    tagged: Tagged,
-    num_columns: usize,
-) -> Result<Partitioned, LaunchError> {
-    partition_by_column_with(exec, tagged, num_columns, PartitionKernel::RunScatter)
-}
-
-/// [`partition_by_column`] with an explicit kernel choice.
 pub fn partition_by_column_with(
     exec: &KernelExecutor,
     tagged: Tagged,
@@ -396,7 +387,7 @@ mod tests {
     fn figure5_record_tagged_partitioning() {
         let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
         let (exec, t) = tag(input, TaggingMode::RecordTagged, 3);
-        let p = partition_by_column(&exec, t, 3).unwrap();
+        let p = partition_by_column_with(&exec, t, 3, PartitionKernel::RunScatter).unwrap();
         // Paper Fig. 5: the three columns' CSSs.
         assert_eq!(p.css(0), b"19411938");
         assert_eq!(p.css(1), b"199.9919.99");
@@ -412,7 +403,7 @@ mod tests {
     fn figure6_inline_partitioning() {
         let input = b"0,\"Apples\"\n1,\n2,\"Pears\"\n";
         let (exec, t) = tag(input, TaggingMode::InlineTerminated { terminator: 0 }, 2);
-        let p = partition_by_column(&exec, t, 2).unwrap();
+        let p = partition_by_column_with(&exec, t, 2, PartitionKernel::RunScatter).unwrap();
         assert_eq!(p.css(0), b"0\x001\x002\x00");
         assert_eq!(p.css(1), b"Apples\0\0Pears\0");
         assert!(p.rec_tags.is_empty());
@@ -422,7 +413,7 @@ mod tests {
     fn figure6_vector_partitioning() {
         let input = b"0,\"Apples\"\n1,\n2,\"Pears\"\n";
         let (exec, t) = tag(input, TaggingMode::VectorDelimited, 2);
-        let p = partition_by_column(&exec, t, 2).unwrap();
+        let p = partition_by_column_with(&exec, t, 2, PartitionKernel::RunScatter).unwrap();
         assert_eq!(p.css(1), b"Apples\n\nPears\n");
         // The paper's flag vector marks 6, 7 and 13: the closing symbol
         // of each closed run.
@@ -450,7 +441,7 @@ mod tests {
         let (exec, t) = tag(input.as_bytes(), TaggingMode::RecordTagged, cols);
         let radix =
             partition_by_column_with(&exec, t.clone(), cols, PartitionKernel::RadixSort).unwrap();
-        let p = partition_by_column(&exec, t, cols).unwrap();
+        let p = partition_by_column_with(&exec, t, cols, PartitionKernel::RunScatter).unwrap();
         assert_eq!(p.css(0), b"00");
         assert_eq!(p.css(299), b"299299");
         assert_eq!(p.css(42), b"4242");
@@ -462,7 +453,7 @@ mod tests {
     #[test]
     fn empty_input_partitions() {
         let (exec, t) = tag(b"", TaggingMode::RecordTagged, 1);
-        let p = partition_by_column(&exec, t, 1).unwrap();
+        let p = partition_by_column_with(&exec, t, 1, PartitionKernel::RunScatter).unwrap();
         assert_eq!(p.num_columns(), 1);
         assert!(p.css(0).is_empty());
     }

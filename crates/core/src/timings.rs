@@ -134,10 +134,12 @@ pub struct ParseStats {
     pub rejected_records: u64,
     /// Individual field conversions that failed (value is null).
     pub conversion_rejects: u64,
-    /// Fields routed through block/device-level collaboration.
+    /// Utf8 fields the paper would hand to block- or device-level
+    /// collaboration (§3.3): longer than a thread's budget. A modelled
+    /// count; the host copies every Utf8 byte in one byte-split pass.
     pub collaborative_fields: u64,
-    /// Of the collaborative fields, those within the block-level tier
-    /// (middle tier of paper §3.3).
+    /// Of the collaborative fields, those within the device threshold:
+    /// the block-level middle tier of paper §3.3.
     pub block_level_fields: u64,
     /// Observed (min, max) columns per raw record.
     pub observed_columns: Option<(u32, u32)>,

@@ -231,8 +231,8 @@ impl Grid {
     /// Run `f(i)` for every `i in 0..n`, dynamically load balanced.
     ///
     /// Items are claimed in blocks of `block` from a shared atomic counter,
-    /// which is the right shape when per-item cost is highly skewed (e.g.
-    /// the device-level collaboration path for giant fields).
+    /// which is the right shape when per-item cost is skewed or items must
+    /// be claimed in order (e.g. the decoupled look-back scan's tiles).
     pub fn run_dynamic<F>(&self, n: usize, block: usize, f: F)
     where
         F: Fn(usize) + Sync,
@@ -497,8 +497,8 @@ mod tests {
 
     #[test]
     fn nested_launches_run_inline() {
-        // A grid primitive used from inside a grid job (e.g. the
-        // device-level collaboration path) must not deadlock the pool.
+        // A grid primitive used from inside a grid job must not deadlock
+        // the pool.
         let grid = Grid::new(4);
         let sums: Vec<u64> = grid.map_indexed(8, |i| {
             grid.map_indexed(10, |j| (i * 10 + j) as u64).iter().sum()

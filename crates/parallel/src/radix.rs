@@ -63,7 +63,7 @@ pub fn sort_pairs_by_key_in<V>(
 {
     let mut keys_out = arena.take_u32("radix/keys");
     let mut values_out = arena.take_vec::<V>("radix/values");
-    let mut digits = arena.take_u16("radix/digits");
+    let mut digits = arena.take_vec::<u16>("radix/digits");
     sort_core(
         grid,
         keys,
@@ -76,7 +76,7 @@ pub fn sort_pairs_by_key_in<V>(
     );
     arena.put_u32("radix/keys", keys_out);
     arena.put_vec("radix/values", values_out);
-    arena.put_u16("radix/digits", digits);
+    arena.put_vec("radix/digits", digits);
 }
 
 /// The pass loop shared by the allocating and arena entry points. The

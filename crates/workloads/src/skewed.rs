@@ -58,13 +58,14 @@ mod tests {
     #[test]
     fn giant_record_parses_intact() {
         let data = yelp_skewed(200_000, 50_000, 42);
-        let opts = ParserOptions {
+        let mut opts = ParserOptions {
             grid: Grid::new(2),
             schema: Some(yelp::schema()),
-            // Force the device-level collaboration path.
-            collaboration_threshold: Some(4096),
             ..ParserOptions::default()
         };
+        // 16 KiB of shared memory: a 4 KiB device threshold, so the giant
+        // text counts as device-level.
+        opts.device.shared_mem_per_sm_kib = 16;
         let out = parse_csv(&data, opts).unwrap();
         assert!(out.stats.collaborative_fields >= 1);
         assert_eq!(out.stats.rejected_records, 0);

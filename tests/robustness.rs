@@ -104,24 +104,19 @@ fn streaming_arbitrary_bytes_row_counts_match() {
 
 #[test]
 fn block_level_tier_is_exercised() {
-    // Fields between the thread budget and the device threshold take the
-    // block-level path; bigger ones take the device path.
+    // Fields between the thread budget and the device threshold count as
+    // block-level; bigger ones as device-level. All go through one copy.
     let mut input = Vec::new();
     input.extend_from_slice(b"small,x\n");
     input.extend_from_slice(format!("{},mid\n", "m".repeat(1000)).as_bytes());
     input.extend_from_slice(format!("{},big\n", "g".repeat(40_000)).as_bytes());
-    let out = parse_csv(
-        &input,
-        ParserOptions {
-            collaboration_threshold: Some(16_384),
-            ..ParserOptions::default()
-        },
-    )
-    .unwrap();
+    let mut opts = ParserOptions::default();
+    opts.device.shared_mem_per_sm_kib = 64; // a 16 KiB device threshold
+    let out = parse_csv(&input, opts).unwrap();
     assert_eq!(out.stats.collaborative_fields, 2, "mid + big");
     assert_eq!(out.stats.block_level_fields, 1, "only mid fits a block");
     assert_eq!(out.table.num_rows(), 3);
-    // Contents intact through both tiers.
+    // Contents intact in both tiers.
     assert_eq!(out.table.value(1, 0), Value::Utf8("m".repeat(1000)));
     assert_eq!(out.table.value(2, 0), Value::Utf8("g".repeat(40_000)));
 }

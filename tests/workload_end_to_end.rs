@@ -122,7 +122,7 @@ fn taxi_conversion_is_lossless() {
 fn skewed_input_stays_correct_and_collaborative() {
     let data = skewed::yelp_skewed(150_000, 60_000, 5);
     let mut o = opts(yelp::schema());
-    o.collaboration_threshold = Some(2048);
+    o.device.shared_mem_per_sm_kib = 8; // a 2 KiB device threshold
     let out = parse_csv(&data, o).unwrap();
     assert!(out.stats.collaborative_fields >= 1);
     assert_eq!(out.stats.rejected_records, 0);
