@@ -10,7 +10,6 @@
 //! device cost model turns into the Amdahl ceiling that dominates Fig. 13's
 //! cuDF-style entry.
 
-use parparaw_core::meta::identify_columns_and_records;
 use parparaw_core::options::ParserOptions;
 use parparaw_core::pipeline::Parser;
 use parparaw_core::timings::{ParseOutput, SimulatedTimings};
@@ -81,7 +80,6 @@ impl SeqContextGpuParser {
             start_states,
             "sequential and parallel context determination disagree"
         );
-        let _ = identify_columns_and_records; // (re-exported path used by docs)
 
         // Swap the context-determination profiles for the serial pass.
         let mut profiles: Vec<WorkProfile> = Vec::new();

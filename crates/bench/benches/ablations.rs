@@ -215,12 +215,13 @@ fn main() {
 
         let exec = KernelExecutor::new(Grid::new(2));
         let cols = 9usize; // the yelp dataset's column count
-        let ctx = parparaw_core::context::determine_contexts_with(
+        let ctx = parparaw_core::context::determine_contexts_fast(
             &exec,
             &dfa,
             &yelp,
             cs,
             ScanAlgorithm::Blocked,
+            None,
         )
         .expect("pass 1 runs");
         let meta = parparaw_core::meta::identify_columns_and_records(

@@ -7,8 +7,8 @@
 //! simulated per-phase breakdowns.
 
 use crate::datasets::Dataset;
-use crate::{bench_ms, bench_ms_consuming, report};
-use parparaw_core::context::determine_contexts_with;
+use crate::{bench_ms, bench_ms_consuming, median, report};
+use parparaw_core::context::determine_contexts_fast;
 use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::index_from_runs;
 use parparaw_core::meta::identify_columns_and_records;
@@ -81,13 +81,12 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
             // EXPERIMENTS.md (the pipeline buckets both under "parse").
             let exec = KernelExecutor::new(Grid::new(workers));
             let reps = 3;
-            let pass1_wall_ms = bench_ms(reps, || {
-                determine_contexts_with(&exec, &dfa, &data, cs, ScanAlgorithm::Blocked)
+            let pass1 = || {
+                determine_contexts_fast(&exec, &dfa, &data, cs, ScanAlgorithm::Blocked, None)
                     .expect("pass 1 runs")
-                    .final_state
-            });
-            let ctx = determine_contexts_with(&exec, &dfa, &data, cs, ScanAlgorithm::Blocked)
-                .expect("pass 1 runs");
+            };
+            let pass1_wall_ms = bench_ms(reps, || pass1().final_state);
+            let ctx = pass1();
             let pass2_wall_ms = bench_ms(reps, || {
                 identify_columns_and_records(&exec, &dfa, &data, cs, &ctx.start_states)
                     .expect("pass 2 runs")
@@ -240,12 +239,6 @@ pub fn cancel_overhead(dataset: Dataset, bytes: usize, workers: usize) -> Cancel
         with_token_ms: median(with_token),
         overhead_pct: median(overhead),
     }
-}
-
-/// The median of `xs` (the upper one for an even count).
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// Render the whole sweep (all datasets) as the `BENCH_pipeline.json`

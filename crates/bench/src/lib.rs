@@ -51,6 +51,12 @@ pub fn bench_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
+/// The median of `xs` (the upper one for an even count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
 /// [`bench_ms`] for functions that consume their input: `setup` rebuilds
 /// the input before every repetition, outside the timed region, so the
 /// rebuild cost (e.g. cloning a buffer the kernel will destroy) doesn't

@@ -45,22 +45,10 @@ pub struct ContextPass {
 /// and baselines that only need the states, not the launch log).
 pub fn determine_contexts(grid: &Grid, dfa: &Dfa, input: &[u8], chunk_size: usize) -> ContextPass {
     let exec = KernelExecutor::new(grid.clone());
-    determine_contexts_with(&exec, dfa, input, chunk_size, ScanAlgorithm::Blocked)
+    determine_contexts_fast(&exec, dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
         // Invariant: a throwaway executor has no fault injection and the
         // kernels contain no panicking paths on any byte input.
         .expect("context kernels cannot fail without fault injection")
-}
-
-/// Run pass 1 with an explicit scan algorithm as two executor launches,
-/// on the table-driven fast lane without a byte-pair table.
-pub fn determine_contexts_with(
-    exec: &KernelExecutor,
-    dfa: &Dfa,
-    input: &[u8],
-    chunk_size: usize,
-    algorithm: ScanAlgorithm,
-) -> Result<ContextPass, LaunchError> {
-    determine_contexts_fast(exec, dfa, input, chunk_size, algorithm, None)
 }
 
 /// One worker range's pass-1 walk.
@@ -271,11 +259,11 @@ mod tests {
             .collect();
         for workers in [1usize, 4] {
             let exec = KernelExecutor::new(Grid::new(workers));
-            let blocked =
-                determine_contexts_with(&exec, &dfa, &input, 13, ScanAlgorithm::Blocked).unwrap();
-            let lb =
-                determine_contexts_with(&exec, &dfa, &input, 13, ScanAlgorithm::DecoupledLookback)
-                    .unwrap();
+            let run = |algorithm| {
+                determine_contexts_fast(&exec, &dfa, &input, 13, algorithm, None).unwrap()
+            };
+            let blocked = run(ScanAlgorithm::Blocked);
+            let lb = run(ScanAlgorithm::DecoupledLookback);
             assert_eq!(blocked.start_states, lb.start_states);
             assert_eq!(blocked.final_state, lb.final_state);
         }
@@ -286,7 +274,7 @@ mod tests {
         let dfa = rfc4180_paper();
         let exec = KernelExecutor::new(Grid::new(1));
         let input = vec![b'x'; 1000];
-        let _ = determine_contexts_with(&exec, &dfa, &input, 31, ScanAlgorithm::Blocked);
+        let _ = determine_contexts_fast(&exec, &dfa, &input, 31, ScanAlgorithm::Blocked, None);
         let log = exec.drain_log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].label, "parse/pass1");

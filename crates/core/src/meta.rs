@@ -1,25 +1,26 @@
 //! Pass 2 and the offset scans: identifying columns and records
 //! (paper §3.1 bitmaps + §3.2, Fig. 4).
 //!
-//! With its starting state known, each chunk re-simulates a single DFA
-//! instance and materialises the three bitmap indexes (record delimiters,
+//! With its starting state known, a single DFA instance re-simulates the
+//! input and materialises the three bitmap indexes (record delimiters,
 //! field delimiters, control symbols) plus a reject bitmap. Alongside, it
-//! computes the per-chunk metadata of Fig. 4: the record count, the
-//! relative-or-absolute column offset handed to the next chunk, and the
-//! data needed for column-count inference (§4.3): the number of field
-//! delimiters before the chunk's first record delimiter and the min/max
-//! column count of records completed inside the chunk.
+//! computes the metadata of Fig. 4: the record count, the
+//! relative-or-absolute column offset handed onward, and the data needed
+//! for column-count inference (§4.3): the number of field delimiters
+//! before the first record delimiter and the min/max column count of the
+//! records completed after it.
 //!
-//! The offset scans then turn the per-chunk values into absolute starting
+//! The offset scans then turn those values into absolute starting
 //! offsets: an exclusive prefix sum for records, and an exclusive scan
 //! under the rel/abs composition operator for columns.
 //!
-//! As in pass 1 (see [`crate::context`]) the chunk is the modelled unit
-//! while the host walks one worker range of chunks at a time: the walk
-//! starts from the range's first start state, fills each chunk's
-//! [`ChunkMeta`] at its boundary and folds it into range totals. The
-//! offset scans run over the ≤ `workers` range totals, and a per-range
-//! fix-up re-scans the chunk metadata from each range's base.
+//! As in pass 1 (see [`crate::context`]) the chunk is the modelled unit —
+//! the work counters charge the paper's per-chunk metadata — while the
+//! host walks one worker range of chunks at a time, from the range's first
+//! start state. To the metadata logic a range is one big chunk: the walk
+//! accumulates the range's totals directly, the offset scans run over the
+//! ≤ `workers` range totals, and their results are the [`RangeStart`]s the
+//! tag walk (see [`crate::tagging`]) begins each range from.
 
 use crate::chunks::num_chunks;
 use parparaw_dfa::Dfa;
@@ -70,25 +71,17 @@ impl ScanOp for ColOffsetOp {
     }
 }
 
-/// Per-chunk metadata out of pass 2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChunkMeta {
-    /// Record delimiters in this chunk (`popc` of the record bitmap).
-    pub record_count: u32,
-    /// Field delimiters after the last record delimiter (or since chunk
-    /// start when none) — the rel/abs column offset handed onward.
-    pub col_offset: ColOffset,
-    /// Field delimiters before the first record delimiter (the paper's
-    /// "relative min/max" for column-count inference). Only meaningful
-    /// when `record_count > 0`.
-    pub first_rel: u32,
-    /// Min/max column count over records that began *and* ended inside
-    /// this chunk; `mid_valid` guards emptiness.
-    pub min_mid: u32,
-    /// See `min_mid`.
-    pub max_mid: u32,
-    /// Whether `min_mid`/`max_mid` hold any record.
-    pub mid_valid: bool,
+/// Where one worker range of pass 2 starts: the range's chunks and the
+/// absolute record and column index at its first byte, out of the offset
+/// scans. The tag walk begins each range from here.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RangeStart {
+    /// The range's chunks.
+    pub chunks: Range<usize>,
+    /// Record index at the range's first byte.
+    pub record: u64,
+    /// Column index at the range's first byte.
+    pub col: u32,
 }
 
 /// The combined output of pass 2 and the offset scans.
@@ -103,12 +96,9 @@ pub struct MetaPass {
     pub control: Bitmap,
     /// Bitmap of positions whose transition was invalid.
     pub rejects: Bitmap,
-    /// Per-chunk metadata.
-    pub chunk_meta: Vec<ChunkMeta>,
-    /// Per-chunk absolute starting record index.
-    pub record_offsets: Vec<u64>,
-    /// Per-chunk absolute starting column index.
-    pub col_offsets: Vec<u32>,
+    /// Pass 2's worker ranges, tiling the chunks in order, with their
+    /// starting record and column.
+    pub ranges: Vec<RangeStart>,
     /// Total number of record delimiters.
     pub total_record_delims: u64,
     /// Total records including a trailing record not closed by a
@@ -128,16 +118,15 @@ pub struct MetaPass {
     pub observed_columns_closed: Option<(u32, u32)>,
 }
 
-/// One worker range's pass-2 totals, folded from its chunks' metadata —
-/// the element of the ≤ `workers`-long offset scans.
-#[derive(Debug, Clone, Default)]
+/// One worker range's pass-2 totals — the element of the ≤ `workers`-long
+/// offset scans.
+#[derive(Debug, Clone, Copy)]
 struct RangeMeta {
-    /// The range's chunks.
-    chunks: Range<usize>,
     /// Record delimiters in the range.
     records: u64,
-    /// The range's rel/abs column offset (⊕ over its chunks).
-    col: ColOffset,
+    /// Field delimiters since the range's last record delimiter (or its
+    /// start when none): the value of its rel/abs column offset.
+    rel: u32,
     /// Field delimiters from the range start to its first record
     /// delimiter; meaningful when `records > 0`.
     first_rel: u32,
@@ -149,41 +138,26 @@ struct RangeMeta {
 }
 
 impl RangeMeta {
-    fn new(chunks: Range<usize>) -> Self {
-        RangeMeta {
-            chunks,
-            min_cols: u32::MAX,
-            ..RangeMeta::default()
-        }
-    }
+    const EMPTY: RangeMeta = RangeMeta {
+        records: 0,
+        rel: 0,
+        first_rel: 0,
+        min_cols: u32::MAX,
+        max_cols: 0,
+    };
 
-    /// Append the next chunk's metadata.
-    fn fold(&mut self, m: &ChunkMeta) {
-        if m.record_count > 0 {
-            if self.records == 0 {
-                self.first_rel = self.col.value + m.first_rel;
-            } else {
-                // `col` is absolute here: the chunk's first record spans
-                // back to the range's last record delimiter.
-                let cols = self.col.value + m.first_rel + 1;
-                self.note_cols(cols, cols);
-            }
-            if m.mid_valid {
-                self.note_cols(m.min_mid, m.max_mid);
-            }
+    /// The range's column offset: absolute once it holds a record
+    /// delimiter.
+    fn col(&self) -> ColOffset {
+        ColOffset {
+            abs: self.records > 0,
+            value: self.rel,
         }
-        self.col = ColOffsetOp.combine(&self.col, &m.col_offset);
-        self.records += m.record_count as u64;
-    }
-
-    fn note_cols(&mut self, min: u32, max: u32) {
-        self.min_cols = self.min_cols.min(min);
-        self.max_cols = self.max_cols.max(max);
     }
 }
 
-/// One worker's pass-2 walk over its range: the DFA state and the
-/// bitmap words being filled, carried from chunk to chunk.
+/// One worker's pass-2 walk over its range: the DFA state, the bitmap
+/// words being filled and the range totals, carried from chunk to chunk.
 struct Pass2Walk<'a> {
     dfa: &'a Dfa,
     /// Records, fields, control, rejects.
@@ -195,6 +169,7 @@ struct Pass2Walk<'a> {
     /// The word being filled and its bits, per bitmap.
     wi: usize,
     acc: [u64; 4],
+    totals: RangeMeta,
 }
 
 impl Pass2Walk<'_> {
@@ -211,17 +186,15 @@ impl Pass2Walk<'_> {
         }
     }
 
-    /// Walk the chunk `input[start..end]` and return its metadata: one
-    /// fused table step per byte.
-    fn chunk(&mut self, input: &[u8], start: usize, end: usize) -> ChunkMeta {
+    /// Walk `input[start..end]` into the range totals: one fused table
+    /// step per byte.
+    fn walk(&mut self, input: &[u8], start: usize, end: usize) {
         // Locals, not fields, through the byte loop: they stay in registers.
         let dfa = self.dfa;
         let mut state = self.state;
         let mut wi = self.wi;
         let mut acc = self.acc;
-        let mut meta = ChunkMeta::default();
-        // Field delimiters since the last record delimiter (or chunk start).
-        let mut rel: u32 = 0;
+        let mut t = self.totals;
         {
             // One fused table step of byte `b` at `i` from `from`.
             let mut step = |i: usize, b: u8, from: u8| {
@@ -242,24 +215,17 @@ impl Pass2Walk<'_> {
                 }
                 if emit.is_record_delimiter() {
                     acc[0] |= bit;
-                    if meta.record_count == 0 {
-                        meta.first_rel = rel;
+                    if t.records == 0 {
+                        t.first_rel = t.rel;
                     } else {
-                        let cols = rel + 1;
-                        if meta.mid_valid {
-                            meta.min_mid = meta.min_mid.min(cols);
-                            meta.max_mid = meta.max_mid.max(cols);
-                        } else {
-                            meta.min_mid = cols;
-                            meta.max_mid = cols;
-                            meta.mid_valid = true;
-                        }
+                        t.min_cols = t.min_cols.min(t.rel + 1);
+                        t.max_cols = t.max_cols.max(t.rel + 1);
                     }
-                    meta.record_count += 1;
-                    rel = 0;
+                    t.records += 1;
+                    t.rel = 0;
                 } else if emit.is_field_delimiter() {
                     acc[1] |= bit;
-                    rel += 1;
+                    t.rel += 1;
                 } else if emit.is_control() {
                     acc[2] |= bit;
                 }
@@ -272,11 +238,7 @@ impl Pass2Walk<'_> {
         self.state = state;
         self.wi = wi;
         self.acc = acc;
-        meta.col_offset = ColOffset {
-            abs: meta.record_count > 0,
-            value: rel,
-        };
-        meta
+        self.totals = t;
     }
 }
 
@@ -302,14 +264,14 @@ pub fn identify_columns_and_records(
     let maps: [AtomicBitmap; 4] = std::array::from_fn(|_| AtomicBitmap::new(n));
 
     // Kernel: one single-instance DFA walk per worker range of chunks,
-    // from the range's first start state. The chunk stays the modelled
-    // unit: the walk fills each chunk's metadata at its boundary and polls
-    // for aborts per chunk. Bitmap bits accumulate in a local word per
-    // bitmap, flushed once per word with a plain store — only the ≤ 2 edge
-    // words a neighbouring range shares take an atomic OR. Every byte
-    // costs one fused table step (`byte_emit_row` / `byte_row` fold the
-    // group lookup into the fetch).
-    let (chunk_meta, ranges) = exec.launch("parse/pass2", n_chunks, |grid, counters| {
+    // from the range's first start state, accumulating the range totals.
+    // The chunk stays the modelled unit: the walk polls for aborts per
+    // chunk, and the counters charge the per-chunk metadata. Bitmap bits
+    // accumulate in a local word per bitmap, flushed once per word with a
+    // plain store — only the ≤ 2 edge words a neighbouring range shares
+    // take an atomic OR. Every byte costs one fused table step
+    // (`byte_emit_row` / `byte_row` fold the group lookup into the fetch).
+    let (parts, totals) = exec.launch("parse/pass2", n_chunks, |grid, counters| {
         counters.bytes_read = n as u64;
         // Four bitmaps plus the per-chunk metadata.
         counters.bytes_written = (n as u64).div_ceil(2) + (n_chunks as u64) * 24;
@@ -317,122 +279,89 @@ pub fn identify_columns_and_records(
         // bitmap writes amortise per word.
         counters.parallel_ops = n as u64 + (n as u64).div_ceil(16);
         let parts = grid.partition(n_chunks);
-        let mut chunk_meta = vec![ChunkMeta::default(); n_chunks];
-        let mut ranges = vec![RangeMeta::default(); parts.len()];
+        let mut totals = vec![RangeMeta::EMPTY; parts.len()];
         {
-            let meta_w = SlotWriter::new(&mut chunk_meta);
-            let range_w = SlotWriter::new(&mut ranges);
+            let totals_w = SlotWriter::new(&mut totals);
             grid.run_partitioned(n_chunks, |w, chunks| {
-                let mut range = RangeMeta::new(chunks.clone());
-                if !chunks.is_empty() {
-                    let (lo, hi) = (chunks.start * cs, (chunks.end * cs).min(n));
-                    let mut walk = Pass2Walk {
-                        dfa,
-                        maps: &maps,
-                        edges: (lo >> 6, (hi - 1) >> 6),
-                        state: start_states[chunks.start],
-                        wi: lo >> 6,
-                        acc: [0; 4],
-                    };
-                    for c in chunks {
-                        grid.check_abort(c);
-                        let m = walk.chunk(input, c * cs, ((c + 1) * cs).min(n));
-                        // SAFETY: `run_partitioned` hands each chunk index
-                        // to exactly one worker.
-                        unsafe { meta_w.write(c, m) };
-                        range.fold(&m);
-                    }
-                    walk.flush(walk.wi, walk.acc);
+                if chunks.is_empty() {
+                    return;
                 }
+                let (lo, hi) = (chunks.start * cs, (chunks.end * cs).min(n));
+                let mut walk = Pass2Walk {
+                    dfa,
+                    maps: &maps,
+                    edges: (lo >> 6, (hi - 1) >> 6),
+                    state: start_states[chunks.start],
+                    wi: lo >> 6,
+                    acc: [0; 4],
+                    totals: RangeMeta::EMPTY,
+                };
+                for c in chunks {
+                    grid.check_abort(c);
+                    walk.walk(input, c * cs, ((c + 1) * cs).min(n));
+                }
+                walk.flush(walk.wi, walk.acc);
                 // SAFETY: one slot per worker range, written by its worker.
-                unsafe { range_w.write(w, range) };
+                unsafe { totals_w.write(w, walk.totals) };
             });
         }
-        (chunk_meta, ranges)
+        (parts, totals)
     })?;
 
     let [records, fields, control, rejects] = maps.map(AtomicBitmap::into_bitmap);
 
-    // The closure only borrows the bitmaps, chunk metadata and range
-    // totals, so a retried launch recomputes from unchanged inputs.
+    // The closure only borrows the bitmaps and range totals, so a retried
+    // launch recomputes from unchanged inputs.
     let (
-        record_offsets,
-        col_offsets,
+        ranges,
         total_record_delims,
         has_trailing_record,
         trailing_columns,
         observed_columns,
         observed_columns_closed,
     ) = exec.launch("scan/offsets", n_chunks, |grid, counters| {
+        // The modelled scans run over the per-chunk metadata.
         counters.kernel_launches = 6; // two scans + reduction
         counters.bytes_read = (n_chunks as u64) * 24 * 2;
         counters.bytes_written = (n_chunks as u64) * 12;
         counters.parallel_ops = n_chunks as u64 * 4;
 
-        // Offset scans over the range totals.
-        let counts: Vec<u64> = ranges.iter().map(|r| r.records).collect();
+        // Offset scans over the range totals. A still-relative scanned
+        // column means "no record delimiter anywhere before this range":
+        // the input's first record starts at column 0, so relative values
+        // are absolute here.
+        let counts: Vec<u64> = totals.iter().map(|t| t.records).collect();
         let (record_bases, total_record_delims) =
             scan::exclusive_scan_total(grid, &counts, &scan::AddOp);
-        let offs: Vec<ColOffset> = ranges.iter().map(|r| r.col).collect();
+        let offs: Vec<ColOffset> = totals.iter().map(RangeMeta::col).collect();
         let (col_bases, col_total) = scan::exclusive_scan_total(grid, &offs, &ColOffsetOp);
+        let ranges: Vec<RangeStart> = parts
+            .iter()
+            .zip(&record_bases)
+            .zip(&col_bases)
+            .map(|((chunks, &record), col)| RangeStart {
+                chunks: chunks.clone(),
+                record,
+                col: col.value,
+            })
+            .collect();
 
-        // Per-chunk fix-up: each range re-scans its chunks' metadata from
-        // its base. A still-relative scanned value means "no record
-        // delimiter anywhere before this chunk": the input's first record
-        // starts at column 0, so relative values are absolute here.
-        let mut record_offsets = vec![0u64; n_chunks];
-        let mut col_offsets = vec![0u32; n_chunks];
-        {
-            let rec_w = SlotWriter::new(&mut record_offsets);
-            let col_w = SlotWriter::new(&mut col_offsets);
-            grid.run_partitioned(ranges.len(), |_, which| {
-                for r in which {
-                    let mut rec = record_bases[r];
-                    let mut col = col_bases[r];
-                    for c in ranges[r].chunks.clone() {
-                        grid.check_abort(c);
-                        // SAFETY: ranges are disjoint and each is fixed
-                        // up by one worker.
-                        unsafe {
-                            rec_w.write(c, rec);
-                            col_w.write(c, col.value);
-                        }
-                        rec += chunk_meta[c].record_count as u64;
-                        col = ColOffsetOp.combine(&col, &chunk_meta[c].col_offset);
-                    }
-                }
-            });
-        }
-
-        // Trailing record: any field delimiter or data symbol after the last
-        // record delimiter.
-        let (has_trailing_record, trailing_columns) = match records.last_set_bit() {
-            Some(last) => {
-                let after = n - last - 1;
-                let non_data = fields.count_ones_from(last + 1) + control.count_ones_from(last + 1);
-                let data_after = after as u64 - non_data;
-                let field_after = fields.count_ones_from(last + 1);
-                (data_after + field_after > 0, col_total.value + 1)
-            }
-            None => (
-                n > 0 && {
-                    let non_data = fields.count_ones() + control.count_ones();
-                    (n as u64 - non_data) + fields.count_ones() > 0
-                },
-                col_total.value + 1,
-            ),
-        };
+        // Trailing record: any field delimiter or data symbol — any symbol
+        // not control — after the last record delimiter.
+        let tail = records.last_set_bit().map_or(0, |last| last + 1);
+        let has_trailing_record = control.count_ones_from(tail) < (n - tail) as u64;
+        let trailing_columns = col_total.value + 1;
 
         let num_records = total_record_delims + u64::from(has_trailing_record);
 
         // Observed min/max columns per record (for inference & validation):
         // a range's first closed record spans back to its base column.
         let (mut mn, mut mx) = (u32::MAX, 0u32);
-        for (r, base) in ranges.iter().zip(&col_bases) {
-            if r.records > 0 {
-                let cols = base.value + r.first_rel + 1;
-                mn = mn.min(cols).min(r.min_cols);
-                mx = mx.max(cols).max(r.max_cols);
+        for (t, base) in totals.iter().zip(&col_bases) {
+            if t.records > 0 {
+                let cols = base.value + t.first_rel + 1;
+                mn = mn.min(cols).min(t.min_cols);
+                mx = mx.max(cols).max(t.max_cols);
             }
         }
         let observed_columns_closed = (total_record_delims > 0).then_some((mn, mx));
@@ -443,8 +372,7 @@ pub fn identify_columns_and_records(
         let observed_columns = (num_records > 0).then_some((mn, mx));
 
         (
-            record_offsets,
-            col_offsets,
+            ranges,
             total_record_delims,
             has_trailing_record,
             trailing_columns,
@@ -459,9 +387,7 @@ pub fn identify_columns_and_records(
         fields,
         control,
         rejects,
-        chunk_meta,
-        record_offsets,
-        col_offsets,
+        ranges,
         total_record_delims,
         num_records,
         has_trailing_record,
@@ -474,7 +400,7 @@ pub fn identify_columns_and_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::determine_contexts_with;
+    use crate::context::determine_contexts_fast;
     use crate::options::ScanAlgorithm;
     use parparaw_dfa::csv::rfc4180_paper;
     use parparaw_parallel::Grid;
@@ -482,8 +408,9 @@ mod tests {
     fn run(input: &[u8], chunk_size: usize, workers: usize) -> MetaPass {
         let dfa = rfc4180_paper();
         let exec = KernelExecutor::new(Grid::new(workers));
-        let ctx = determine_contexts_with(&exec, &dfa, input, chunk_size, ScanAlgorithm::Blocked)
-            .unwrap();
+        let ctx =
+            determine_contexts_fast(&exec, &dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
+                .unwrap();
         identify_columns_and_records(&exec, &dfa, input, chunk_size, &ctx.start_states).unwrap()
     }
 
@@ -537,9 +464,15 @@ mod tests {
     #[test]
     fn record_offsets_are_prefix_sums() {
         let input = b"a\nb\nc\nd\ne\nf\n";
-        let m = run(input, 4, 2);
-        // chunks of 4 bytes: "a\nb\n" "c\nd\n" "e\nf\n" → 2 records each.
-        assert_eq!(m.record_offsets, vec![0, 2, 4]);
+        // Chunks of 4 bytes, one per worker: "a\nb\n" "c\nd\n" "e\nf\n"
+        // → 2 records each.
+        let m = run(input, 4, 3);
+        let starts: Vec<_> = m
+            .ranges
+            .iter()
+            .map(|r| (r.chunks.clone(), r.record))
+            .collect();
+        assert_eq!(starts, [(0..1, 0), (1..2, 2), (2..3, 4)]);
         assert_eq!(m.num_records, 6);
     }
 
@@ -576,15 +509,21 @@ mod tests {
 
     #[test]
     fn column_offsets_resolve_across_chunks() {
-        // 1-byte chunks: every chunk starts mid-record somewhere.
+        // 1-byte chunks, one per worker: every range starts mid-record
+        // somewhere. The range at byte 2 (the 'b') starts at column 1, the
+        // one at byte 4 at column 2; after the newline (byte 6 = 'd') the
+        // columns reset and the record advances.
         let input = b"a,b,c\nd,e,f\n";
-        let m = run(input, 1, 3);
-        // Chunk starting at byte 2 (the 'b') has column offset 1.
-        assert_eq!(m.col_offsets[2], 1);
-        assert_eq!(m.col_offsets[4], 2);
-        // After the newline (byte 6 = 'd'), offsets reset.
-        assert_eq!(m.col_offsets[6], 0);
-        assert_eq!(m.col_offsets[8], 1);
+        let m = run(input, 1, input.len());
+        assert!(m
+            .ranges
+            .iter()
+            .enumerate()
+            .all(|(c, r)| r.chunks == (c..c + 1)));
+        let cols: Vec<u32> = m.ranges.iter().map(|r| r.col).collect();
+        assert_eq!(cols, [0, 0, 1, 1, 2, 2, 0, 0, 1, 1, 2, 2]);
+        let records: Vec<u64> = m.ranges.iter().map(|r| r.record).collect();
+        assert_eq!(records, [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]);
     }
 
     #[test]

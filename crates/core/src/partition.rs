@@ -357,7 +357,7 @@ impl Partitioned {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::determine_contexts_with;
+    use crate::context::determine_contexts_fast;
     use crate::css::index_from_runs;
     use crate::meta::identify_columns_and_records;
     use crate::options::ScanAlgorithm;
@@ -368,7 +368,8 @@ mod tests {
     fn tag(input: &[u8], mode: TaggingMode, cols: usize) -> (KernelExecutor, Tagged) {
         let dfa = rfc4180_paper();
         let exec = KernelExecutor::new(Grid::new(3));
-        let ctx = determine_contexts_with(&exec, &dfa, input, 7, ScanAlgorithm::Blocked).unwrap();
+        let ctx =
+            determine_contexts_fast(&exec, &dfa, input, 7, ScanAlgorithm::Blocked, None).unwrap();
         let meta = identify_columns_and_records(&exec, &dfa, input, 7, &ctx.start_states).unwrap();
         let col_map: Vec<Option<u32>> = (0..cols as u32).map(Some).collect();
         let cfg = TagConfig {

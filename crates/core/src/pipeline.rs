@@ -3,11 +3,13 @@
 //! [`Parser::parse`] runs the five phases over an in-memory input:
 //!
 //! 1. **parse** — pass 1 (multi-DFA state-transition vectors) and pass 2
-//!    (bitmaps + per-chunk metadata from the recovered contexts);
+//!    (bitmaps + record and column totals per worker range of chunks,
+//!    from the recovered contexts);
 //! 2. **scan** — the composite-operator scan and the record/column offset
-//!    scans;
+//!    scans, which give each pass-2 range its starting record and column;
 //! 3. **tag** — compaction of relevant symbols into field runs carrying
-//!    their column and record (mode-dependent, §4.1);
+//!    their column and record, walking pass 2's ranges (mode-dependent,
+//!    §4.1);
 //! 4. **partition** — field-run scatter (or the paper's stable radix
 //!    sort) into per-column CSSs;
 //! 5. **convert** — CSS indexing, optional type inference, and typed

@@ -20,16 +20,18 @@
 //! The walk is word-wise, the structural-index idiom of simdjson and Mison:
 //! the record, field, control and reject bitmaps are OR'd a `u64` at a
 //! time and `trailing_zeros` jumps from one boundary to the next, so the
-//! data between two boundaries is one span, copied with one `memcpy`. Each
-//! worker walks its whole contiguous range of chunks, so a field is split
-//! into several runs only where a worker's range ends. The emission is
-//! allocation-free and parallel: a counting walk per worker, an exclusive
-//! prefix sum over the counts, then a second walk writing straight into
-//! the arena buffers — the standard GPU compaction shape.
+//! data between two boundaries is one span, copied with one `memcpy`. The
+//! walks follow pass 2's worker ranges ([`MetaPass::ranges`]): each range
+//! is walked whole from its resolved record and column, so a field is
+//! split into several runs only where a range ends, and the output does
+//! not depend on the grid tagging runs on. The emission is allocation-free
+//! and parallel: a counting walk per range, an exclusive prefix sum over
+//! the counts, then a second walk writing straight into the arena buffers
+//! — the standard GPU compaction shape.
 
 use crate::chunks::num_chunks;
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
-use crate::meta::MetaPass;
+use crate::meta::{MetaPass, RangeStart};
 use crate::options::TaggingMode;
 use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::{AtomicBitmap, Bitmap, Grid, KernelExecutor, LaunchError};
@@ -63,10 +65,10 @@ pub struct TagConfig<'a> {
 /// granularity. Runs tile their symbol array in order (the compacted
 /// tagged symbols in [`Tagged`], a column's CSS after partitioning), so a
 /// run's start is the sum of the lengths before it and is not stored. A
-/// field that crosses the end of one worker's chunk range yields two
+/// field that crosses the end of one pass-2 worker range yields two
 /// adjacent runs with the same row, merged back by
-/// [`crate::css::index_from_runs`]; chunk boundaries inside a worker's
-/// range do not split runs.
+/// [`crate::css::index_from_runs`]; chunk boundaries inside a range do
+/// not split runs.
 ///
 /// 16 bytes: the column, the row, and the symbol count with the `closed`
 /// flag in its top bit.
@@ -164,29 +166,30 @@ pub fn tag_symbols(
     let rejected = AtomicBitmap::new(cfg.num_out_rows as usize);
     let clash = AtomicBool::new(false);
 
+    let ranges = &meta.ranges;
     let (symbols, runs, col_chunk_runs) = exec.launch("tag", n_chunks, |grid, counters| {
-        // Walk A: count each worker range's symbols, runs and modelled
+        // Walk A: count each pass-2 range's symbols, runs and modelled
         // chunk-runs, marking rejects and terminator clashes once.
-        let mut counts = vec![Emitted::default(); grid.partition(n_chunks).len()];
+        let mut counts = vec![Emitted::default(); ranges.len()];
         {
             let count_w = SlotWriter::new(&mut counts);
             let marks = Marks {
                 rejected: &rejected,
                 clash: &clash,
             };
-            grid.run_partitioned(n_chunks, |w, chunks| {
-                if chunks.is_empty() {
-                    return;
+            grid.run_partitioned(ranges.len(), |_, which| {
+                for r in which {
+                    let range = &ranges[r];
+                    let e = Walker::start(input, meta, cfg, cs, range, None, Some(&marks))
+                        .walk_chunks(grid, range.chunks.clone());
+                    // SAFETY: `run_partitioned` hands each range index to
+                    // exactly one worker.
+                    unsafe { count_w.write(r, e) };
                 }
-                let e = Walker::start(input, meta, cfg, cs, chunks.start, None, Some(&marks))
-                    .walk_chunks(grid, chunks);
-                // SAFETY: `run_partitioned` hands each worker id to exactly
-                // one worker, and `counts` has one slot per worker range.
-                unsafe { count_w.write(w, e) };
             });
         }
 
-        // Exclusive scan over the per-worker counts (one cell per worker).
+        // Exclusive scan over the per-range counts.
         let mut sym_bases = Vec::with_capacity(counts.len());
         let mut run_bases = Vec::with_capacity(counts.len());
         let (mut total_symbols, mut total_runs) = (0, 0);
@@ -210,18 +213,18 @@ pub fn tag_symbols(
         {
             let sym_w = SlotWriter::new(&mut symbols);
             let run_w = SlotWriter::new(&mut runs);
-            grid.run_partitioned(n_chunks, |w, chunks| {
-                if chunks.is_empty() {
-                    return;
+            grid.run_partitioned(ranges.len(), |_, which| {
+                for r in which {
+                    let sinks = Sinks {
+                        symbols: &sym_w,
+                        runs: &run_w,
+                        sym_base: sym_bases[r],
+                        run_base: run_bases[r],
+                    };
+                    let range = &ranges[r];
+                    Walker::start(input, meta, cfg, cs, range, Some(sinks), None)
+                        .walk_chunks(grid, range.chunks.clone());
                 }
-                let sinks = Sinks {
-                    symbols: &sym_w,
-                    runs: &run_w,
-                    sym_base: sym_bases[w],
-                    run_base: run_bases[w],
-                };
-                Walker::start(input, meta, cfg, cs, chunks.start, Some(sinks), None)
-                    .walk_chunks(grid, chunks);
             });
         }
 
@@ -259,7 +262,7 @@ pub fn tag_symbols(
 /// len + closed), not of this code's [`FieldRun`].
 pub(crate) const RUN_BYTES: u64 = 25;
 
-/// What one worker's walk emitted.
+/// What one range's walk emitted.
 #[derive(Debug, Clone, Default)]
 struct Emitted {
     symbols: u64,
@@ -270,7 +273,7 @@ struct Emitted {
 }
 
 /// Where the emitting walk writes: the global symbol and run arrays and
-/// the worker's base offsets into them.
+/// the range's base offsets into them.
 struct Sinks<'a> {
     symbols: &'a SlotWriter<'a, u8>,
     runs: &'a SlotWriter<'a, FieldRun>,
@@ -284,9 +287,8 @@ struct Marks<'a> {
     clash: &'a AtomicBool,
 }
 
-/// One worker's walk over its contiguous range of chunks. All position
-/// state lives here, so consecutive [`Walker::walk`] calls continue one
-/// another.
+/// The walk over one pass-2 range of chunks. All position state lives
+/// here, so consecutive [`Walker::walk`] calls continue one another.
 struct Walker<'a, 's> {
     input: &'a [u8],
     meta: &'a MetaPass,
@@ -317,18 +319,17 @@ struct Walker<'a, 's> {
 }
 
 impl<'a, 's> Walker<'a, 's> {
-    /// A walker positioned at the start of chunk `first_chunk`.
+    /// A walker positioned at the start of pass-2 range `range`.
     fn start(
         input: &'a [u8],
         meta: &'a MetaPass,
         cfg: &'a TagConfig<'a>,
         chunk_size: usize,
-        first_chunk: usize,
+        range: &RangeStart,
         sinks: Option<Sinks<'s>>,
         marks: Option<&'s Marks<'s>>,
     ) -> Self {
-        let rec = meta.record_offsets[first_chunk];
-        let col = meta.col_offsets[first_chunk];
+        let (rec, col) = (range.record, range.col);
         let next_skip = cfg.skip_records.partition_point(|&s| s < rec);
         let mut w = Walker {
             input,
@@ -346,7 +347,7 @@ impl<'a, 's> Walker<'a, 's> {
             row: None,
             out_col: map_col(cfg.col_map, col),
             run: None,
-            cut: first_chunk * chunk_size,
+            cut: range.chunks.start * chunk_size,
             run_cut: 0,
             emitted: Emitted {
                 col_chunk_runs: vec![0; num_out_cols(cfg.col_map)],
@@ -508,8 +509,8 @@ impl<'a, 's> Walker<'a, 's> {
             return;
         };
         if let Some(s) = &self.sinks {
-            // SAFETY: the counting walk sized this worker's symbol range
-            // from the same emissions, and worker ranges are disjoint.
+            // SAFETY: the counting walk sized this range's symbol slots
+            // from the same emissions, and ranges' slots are disjoint.
             unsafe {
                 s.symbols
                     .write_slice(s.sym_base + self.emitted.symbols as usize, symbols)
@@ -543,8 +544,8 @@ impl<'a, 's> Walker<'a, 's> {
     fn flush(&mut self) {
         if let Some(run) = self.run.take() {
             if let Some(s) = &self.sinks {
-                // SAFETY: the counting walk counted this worker's runs the
-                // same way, so the slot lies in the worker's own range.
+                // SAFETY: the counting walk counted this range's runs the
+                // same way, so the slot lies in the range's own slots.
                 unsafe { s.runs.write(s.run_base + self.emitted.runs as usize, run) };
             }
             self.emitted.runs += 1;
@@ -569,7 +570,7 @@ fn map_col(col_map: &[Option<u32>], col: u32) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::determine_contexts_with;
+    use crate::context::determine_contexts_fast;
     use crate::meta::identify_columns_and_records;
     use crate::options::ScanAlgorithm;
     use parparaw_dfa::csv::rfc4180_paper;
@@ -577,8 +578,9 @@ mod tests {
     fn run_meta(input: &[u8], chunk_size: usize, workers: usize) -> (KernelExecutor, MetaPass) {
         let dfa = rfc4180_paper();
         let exec = KernelExecutor::new(Grid::new(workers));
-        let ctx = determine_contexts_with(&exec, &dfa, input, chunk_size, ScanAlgorithm::Blocked)
-            .unwrap();
+        let ctx =
+            determine_contexts_fast(&exec, &dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
+                .unwrap();
         let meta = identify_columns_and_records(&exec, &dfa, input, chunk_size, &ctx.start_states)
             .unwrap();
         (exec, meta)

@@ -1,7 +1,7 @@
 //! The word-wise tagging walk against a byte-at-a-time reference.
 //!
 //! `tag_symbols` jumps from boundary to boundary over the pass-2 bitmap
-//! words and splits a field's run only where a worker's chunk range ends.
+//! words and splits a field's run only where a pass-2 worker range ends.
 //! The reference below reads the same bitmaps one bit at a time over the
 //! whole input. Both must agree on the compacted symbols, the field runs
 //! (after joining worker splits, with starts implied by the order), the
@@ -11,7 +11,7 @@
 //! bits, chunk sizes that straddle bitmap words, worker counts and both
 //! launch modes.
 
-use parparaw_core::context::determine_contexts_with;
+use parparaw_core::context::determine_contexts_fast;
 use parparaw_core::diag::{DiagSink, RecordDiagnostic, RejectReason};
 use parparaw_core::meta::{identify_columns_and_records, MetaPass};
 use parparaw_core::tagging::{tag_symbols, FieldRun, TagConfig};
@@ -21,8 +21,8 @@ use parparaw_dfa::{Dfa, DfaBuilder, Emit};
 use parparaw_parallel::{Bitmap, Grid, KernelExecutor, LaunchMode, SplitMix64};
 
 fn meta_on(exec: &KernelExecutor, dfa: &Dfa, input: &[u8], chunk_size: usize) -> MetaPass {
-    let ctx =
-        determine_contexts_with(exec, dfa, input, chunk_size, ScanAlgorithm::Blocked).unwrap();
+    let ctx = determine_contexts_fast(exec, dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
+        .unwrap();
     identify_columns_and_records(exec, dfa, input, chunk_size, &ctx.start_states).unwrap()
 }
 
@@ -306,4 +306,67 @@ fn word_walk_matches_byte_reference() {
         splits > 0 && rejects > 0 && clashes > 0,
         "{splits} {rejects} {clashes}"
     );
+}
+
+/// Tagging follows pass 2's worker ranges, not the grid it runs on: with
+/// pass 2 on three workers, tagging on one, two or eight workers, or on a
+/// spawn-per-launch grid, yields the same symbols, the same runs (split
+/// at the same three-range edges), the same chunk-runs and the same
+/// rejects.
+#[test]
+fn tagging_follows_pass2_ranges_on_any_grid() {
+    let dfa = rfc4180_paper();
+    let pass2 = KernelExecutor::new(Grid::new(3));
+    let taggers: Vec<KernelExecutor> = [
+        Grid::new(1),
+        Grid::new(2),
+        Grid::new(8),
+        Grid::with_mode(3, LaunchMode::SpawnPerLaunch),
+    ]
+    .into_iter()
+    .map(KernelExecutor::new)
+    .collect();
+    let records: Vec<u8> = (0..60)
+        .flat_map(|i| format!("{i},\"a, \"\"b\"\"\n{i}\",{}\n", "x".repeat(i * 3)).into_bytes())
+        .collect();
+    let inputs = [records, soup(0x5EED, 2000)];
+    let (mut splits, mut rejects) = (0, 0);
+    for (k, input) in inputs.iter().enumerate() {
+        for cs in [1usize, 31, 65] {
+            let meta = meta_on(&pass2, &dfa, input, cs);
+            assert_eq!(meta.ranges.len(), 3);
+            for mode in [
+                TaggingMode::RecordTagged,
+                TaggingMode::InlineTerminated { terminator: 0x1F },
+                TaggingMode::VectorDelimited,
+            ] {
+                let cols = [Some(0), Some(1), Some(2)];
+                let cfg = TagConfig {
+                    mode,
+                    col_map: &cols,
+                    skip_records: &[],
+                    expected_columns: Some(3),
+                    num_out_rows: meta.num_records,
+                    diags: None,
+                };
+                let want = tag_symbols(&pass2, input, cs, &meta, &cfg).unwrap();
+                splits += usize::from(merged(&want.runs).len() < want.runs.len());
+                rejects += usize::from(want.rejected.count_ones() > 0);
+                for exec in &taggers {
+                    let at = format!(
+                        "input={k} cs={cs} {} on {} workers {:?}",
+                        mode.name(),
+                        exec.grid().workers(),
+                        exec.grid().mode()
+                    );
+                    let got = tag_symbols(exec, input, cs, &meta, &cfg).unwrap();
+                    assert_eq!(got.symbols, want.symbols, "{at}");
+                    assert_eq!(got.runs, want.runs, "{at}");
+                    assert_eq!(got.col_chunk_runs, want.col_chunk_runs, "{at}");
+                    assert_eq!(got.rejected, want.rejected, "{at}");
+                }
+            }
+        }
+    }
+    assert!(splits > 0 && rejects > 0, "{splits} {rejects}");
 }

@@ -8,7 +8,7 @@
 //! automata and byte soups, not just the CSV machine the unit tests use.
 
 use parparaw::core::context::{determine_contexts, determine_contexts_fast};
-use parparaw::core::meta::{identify_columns_and_records, ChunkMeta, ColOffset, ColOffsetOp};
+use parparaw::core::meta::{identify_columns_and_records, ColOffset, ColOffsetOp, MetaPass};
 use parparaw::core::options::ScanAlgorithm;
 use parparaw::dfa::csv::{rfc4180, CsvDialect};
 use parparaw::dfa::log::extended_log;
@@ -217,15 +217,12 @@ fn word_wise_pass2_matches_bit_reference() {
             "rejects, round {round}"
         );
 
-        // Per-chunk record counts agree with the reference bitmap.
-        for (c, m) in meta.chunk_meta.iter().enumerate() {
-            let lo = c * cs;
-            let hi = (lo + cs).min(input.len());
-            let count = (lo..hi).filter(|&i| records.get(i)).count() as u32;
-            assert_eq!(
-                m.record_count, count,
-                "chunk {c} record count, round {round}"
-            );
+        // Each range starts at the record the reference bitmap has
+        // counted up to its first byte.
+        for r in &meta.ranges {
+            let lo = (r.chunks.start * cs).min(input.len());
+            let count = (0..lo).filter(|&i| records.get(i)).count() as u64;
+            assert_eq!(r.record, count, "range {:?}, round {round}", r.chunks);
         }
     }
 }
@@ -261,15 +258,24 @@ fn permutation_dfa(rng: &mut SplitMix64) -> Dfa {
     b.build().expect("permutation DFA is complete")
 }
 
+/// The paper's per-chunk pass-2 metadata (Fig. 4), which the worker-range
+/// walk accumulates per range instead.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChunkMeta {
+    /// Record delimiters in the chunk.
+    record_count: u32,
+    /// The rel/abs column offset handed to the next chunk.
+    col_offset: ColOffset,
+}
+
 /// Everything passes 1 and 2 report, computed one modelled chunk at a
 /// time: `transition_vector_fast` per chunk and a sequential composition
 /// for the contexts, then a step-wise walk of each chunk from its own
-/// start state for the metadata and bitmaps.
+/// start state for the metadata, offsets and bitmaps.
 struct Reference {
     start_states: Vec<u8>,
     final_state: u8,
     pass1_ops: u64,
-    chunk_meta: Vec<ChunkMeta>,
     record_offsets: Vec<u64>,
     col_offsets: Vec<u32>,
     bitmaps: [Bitmap; 4],
@@ -299,14 +305,6 @@ fn per_chunk_reference(dfa: &Dfa, input: &[u8], cs: usize, pair: Option<&PairTab
             let step = dfa.step(state, b);
             state = step.next;
             if step.emit.is_record_delimiter() {
-                if m.record_count == 0 {
-                    m.first_rel = rel;
-                } else if m.mid_valid {
-                    m.min_mid = m.min_mid.min(rel + 1);
-                    m.max_mid = m.max_mid.max(rel + 1);
-                } else {
-                    (m.min_mid, m.max_mid, m.mid_valid) = (rel + 1, rel + 1, true);
-                }
                 m.record_count += 1;
                 rel = 0;
             } else if step.emit.is_field_delimiter() {
@@ -358,13 +356,32 @@ fn per_chunk_reference(dfa: &Dfa, input: &[u8], cs: usize, pair: Option<&PairTab
         start_states,
         final_state,
         pass1_ops,
-        chunk_meta,
         record_offsets,
         col_offsets,
         bitmaps,
         observed_columns,
         observed_columns_closed: closed,
     }
+}
+
+/// Pass 2's ranges tile `0..n_chunks` in order, one per worker (a single
+/// empty range for empty input), and each starts at the reference's
+/// per-chunk offsets of its first chunk.
+fn assert_range_starts(meta: &MetaPass, want: &Reference, workers: usize, at: &str) {
+    let n_chunks = want.record_offsets.len();
+    assert_eq!(meta.ranges.len(), workers.min(n_chunks.max(1)), "{at}");
+    let mut next = 0;
+    for r in &meta.ranges {
+        assert_eq!(r.chunks.start, next, "ranges tile the chunks, {at}");
+        next = r.chunks.end;
+        if let Some(&record) = want.record_offsets.get(r.chunks.start) {
+            assert_eq!(r.record, record, "range {:?} record, {at}", r.chunks);
+            assert_eq!(r.col, want.col_offsets[r.chunks.start], "{at}");
+        } else {
+            assert_eq!((r.record, r.col), (0, 0), "{at}");
+        }
+    }
+    assert_eq!(next, n_chunks, "ranges tile the chunks, {at}");
 }
 
 #[test]
@@ -425,9 +442,7 @@ fn worker_range_walks_match_per_chunk_reference() {
                         let meta =
                             identify_columns_and_records(&exec, dfa, &input, cs, &ctx.start_states)
                                 .expect("pass 2 runs");
-                        assert_eq!(meta.chunk_meta, want.chunk_meta, "{at}");
-                        assert_eq!(meta.record_offsets, want.record_offsets, "{at}");
-                        assert_eq!(meta.col_offsets, want.col_offsets, "{at}");
+                        assert_range_starts(&meta, &want, workers, &at);
                         let got = [&meta.records, &meta.fields, &meta.control, &meta.rejects];
                         for (g, w) in got.into_iter().zip(&want.bitmaps) {
                             assert_eq!(g.words(), w.words(), "{at}");
