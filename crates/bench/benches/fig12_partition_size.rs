@@ -1,6 +1,6 @@
 //! Bench target for Figure 12: streamed parse at different partition
-//! sizes (wall time of the threaded executor; the simulated end-to-end
-//! series comes from the `fig12` binary).
+//! sizes (wall time of the streamed parse on this host; the simulated
+//! end-to-end series comes from the `fig12` binary).
 //!
 //! Plain `main()` with `std` timing — run with
 //! `cargo bench -p parparaw-bench --bench fig12_partition_size [-- --bytes 4M]`.

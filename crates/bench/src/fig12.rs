@@ -21,7 +21,7 @@ pub struct Row {
     pub partition_bytes: usize,
     /// Simulated end-to-end seconds (transfers + overlapped parsing).
     pub sim_end_to_end_s: f64,
-    /// Wall-clock seconds of the threaded executor on this host.
+    /// Wall-clock seconds of the streamed parse on this host.
     pub wall_s: f64,
     /// Number of partitions.
     pub partitions: usize,

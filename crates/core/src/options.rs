@@ -180,8 +180,9 @@ pub struct ParserOptions {
     /// Rows (0-based, raw-newline bounded — *not* the same as records, see
     /// paper §4.3) to prune in an initial pass before parsing. Useful for
     /// dropping header lines. Whole-input parses only: streaming parses
-    /// ([`crate::Parser::parse_stream`], `parse_partition`, `partitions`)
-    /// reject it with [`crate::ParseError::SkipRowsInStreaming`].
+    /// ([`crate::Parser::parse_stream`] and its resumable form,
+    /// [`crate::Parser::partitions`]) reject it with
+    /// [`crate::ParseError::SkipRowsInStreaming`].
     pub skip_rows: Vec<u64>,
     /// Treat the first record as a header: its fields become the output
     /// column names (when no schema is given) and it is excluded from the

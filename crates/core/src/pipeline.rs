@@ -72,16 +72,6 @@ impl Parser {
         Ok(self.parse_with(&exec, input, false, None)?.out)
     }
 
-    /// Parse one streaming partition: the trailing record not closed by a
-    /// record delimiter is *not* parsed; instead the number of raw bytes
-    /// it spans is returned so the caller can prepend them to the next
-    /// partition (the carry-over of paper §4.4).
-    pub fn parse_partition(&self, input: &[u8]) -> Result<(ParseOutput, usize), ParseError> {
-        let exec = self.options.build_executor();
-        let parsed = self.parse_with(&exec, input, true, None)?;
-        Ok((parsed.out, parsed.carry_len))
-    }
-
     /// Run the full pipeline on an explicit executor. The streaming path
     /// reuses one executor (and its buffer arena) across partitions; the
     /// launch log is drained per call, so every run reports its own
@@ -100,12 +90,6 @@ impl Parser {
     ) -> Result<Parsed, ParseError> {
         let o = &self.options;
         let cs = o.chunk_size;
-        // Row pruning is whole-input: its indexes don't translate to
-        // partition-local rows, and the caller slices carry-over from the
-        // *unpruned* bytes, so it cannot combine with streaming.
-        if drop_trailing && !o.skip_rows.is_empty() {
-            return Err(ParseError::SkipRowsInStreaming);
-        }
         // Leftover records from an aborted earlier run must not leak into
         // this run's timings, and arena hit/miss stats report per run.
         let _ = exec.drain_log();
@@ -880,10 +864,6 @@ mod skip_rows_tests {
                 ..opts()
             },
         );
-        assert!(matches!(
-            p.parse_partition(input),
-            Err(ParseError::SkipRowsInStreaming)
-        ));
         assert!(matches!(
             p.parse_stream(input, 8),
             Err(ParseError::SkipRowsInStreaming)

@@ -6,21 +6,20 @@
 //! partitions overlap. The incomplete record at the end of each partition
 //! is carried over and prepended to the next one.
 //!
-//! One crate-private `StreamCursor` parses each partition and owns all
-//! that carries between partitions (carry-over, header, frozen schema,
+//! On this host the input is already in memory, so there is nothing to
+//! transfer: one crate-private `StreamCursor` parses windows of the
+//! caller's input in place, each window being the carry (bytes already in
+//! the input) plus the next partition. The cursor owns all that carries
+//! between partitions (the carry's offset, header, frozen schema,
 //! stream-global diagnostics and `skip_records`, relaunch recovery, the
-//! arena-budget ladder, the [`Checkpoint`]). Two drivers feed it:
-//!
-//! 1. [`Parser::parse_stream_resumable`] runs a **real threaded pipeline**
-//!    — a transfer stage copying raw partitions into owned buffers (the
-//!    H2D stand-in), the cursor, and a collector stage (the D2H stand-in)
-//!    — over bounded channels of capacity one, which is exactly the
-//!    double-buffer discipline of Fig. 7;
-//! 2. [`Parser::partitions`] calls the cursor on slices of the input.
+//! arena-budget ladder, the [`Checkpoint`]). [`Parser::parse_stream_resumable`]
+//! and [`Parser::partitions`] run the same cursor step on the calling
+//! thread; they differ only in whether the batches are collected or
+//! yielded.
 //!
 //! Every partition's **measured work** is recorded so the simulated device
-//! can replay the Fig. 7 dependency DAG over the PCIe link model
-//! ([`StreamedOutput::streaming_plan`]).
+//! can replay the Fig. 7 transfer/parse/return overlap over the PCIe link
+//! model ([`StreamedOutput::streaming_plan`]).
 
 use crate::diag::RecordDiagnostic;
 use crate::error::ParseError;
@@ -28,10 +27,8 @@ use crate::options::ErrorPolicy;
 use crate::pipeline::{split_header, Parsed, Parser};
 use parparaw_columnar::{Schema, Table};
 use parparaw_device::streaming::PartitionCost;
-use parparaw_device::{CostModel, PcieLink, StreamingPlan};
+use parparaw_device::{PcieLink, StreamingPlan};
 use parparaw_parallel::{Grid, KernelExecutor, LaunchMode};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::sync_channel;
 use std::time::{Duration, Instant};
 
 /// The partition-size degradation floor: under arena budget pressure the
@@ -42,8 +39,8 @@ const PARTITION_FLOOR_BYTES: usize = 4096;
 /// Measurements for one streamed partition.
 #[derive(Debug, Clone)]
 pub struct PartitionReport {
-    /// Raw bytes transferred for this partition (excluding the carry,
-    /// which is copied device-side).
+    /// New input bytes in this partition's window: the modelled
+    /// host-to-device transfer (the carry is already on the device).
     pub input_bytes: u64,
     /// Bytes of the carry prepended from the previous partition.
     pub carry_bytes: u64,
@@ -92,7 +89,7 @@ pub struct StreamedOutput {
     pub diagnostics: Vec<RecordDiagnostic>,
     /// Diagnostics dropped at the per-partition cap.
     pub dropped_diagnostics: u64,
-    /// End-to-end wall-clock time of the threaded executor.
+    /// End-to-end wall-clock time of the stream on this host.
     pub wall: Duration,
 }
 
@@ -112,11 +109,6 @@ impl StreamedOutput {
                 })
                 .collect(),
         }
-    }
-
-    /// Convenience: simulated end-to-end seconds over the given link.
-    pub fn simulated_end_to_end_seconds(&self, model: &CostModel, link: PcieLink) -> f64 {
-        self.streaming_plan(link).simulate(model).total_seconds
     }
 
     /// Total launch retries across all partitions.
@@ -227,8 +219,14 @@ pub(crate) struct Batch {
     dropped_diagnostics: u64,
 }
 
-/// The streaming engine behind every streaming entry point: it turns raw
-/// partitions, in order, into [`Batch`]es.
+/// The streaming engine behind every streaming entry point: it cuts
+/// windows of the caller's input, in order, and turns them into
+/// [`Batch`]es.
+///
+/// Each window is `input[state.resume_offset..min(pos + partition_size,
+/// len)]`: the carry (the unfinished record after the last window, still
+/// in the input) plus the next partition's new bytes. The cursor copies
+/// no input bytes.
 ///
 /// Without a configured schema, the first partition with rows is parsed
 /// with type inference and its *raw-width* schema is frozen for the rest
@@ -240,12 +238,16 @@ pub(crate) struct StreamCursor {
     /// Header-free parser; its schema is the configured one or, once
     /// frozen, the inferred one.
     parser: Parser,
-    /// The unfinished record at the end of the last partition.
-    carry: Vec<u8>,
-    /// Where the stream stands after the last partition.
+    /// Where the stream stands after the last partition; its
+    /// `resume_offset` is where the carry starts.
     state: Checkpoint,
     /// `state` as of the last partition emitted with a fixed schema.
     checkpoint: Checkpoint,
+    /// The end of the last window: the carry is
+    /// `input[state.resume_offset..pos]`.
+    pos: usize,
+    /// The last window was parsed, or a step failed.
+    done: bool,
     /// The budget ladder's lowest partition size.
     floor: usize,
     /// Arena pressure events seen so far.
@@ -273,7 +275,8 @@ impl StreamCursor {
         }
         StreamCursor {
             parser: Parser::new(parser.dfa().clone(), opts),
-            carry: Vec::new(),
+            pos: state.resume_offset as usize,
+            done: false,
             checkpoint: state.clone(),
             state,
             floor: partition_size.min(PARTITION_FLOOR_BYTES),
@@ -281,59 +284,55 @@ impl StreamCursor {
         }
     }
 
-    /// The effective partition size: the requested one until budget
-    /// pressure halves it.
-    pub(crate) fn partition_size(&self) -> usize {
-        self.state.partition_size.max(1)
-    }
-
     /// The point a resumed stream restarts from.
     pub(crate) fn checkpoint(&self) -> &Checkpoint {
         &self.checkpoint
     }
 
-    /// Parse the next raw partition behind the carry. `None` while the
-    /// stream header is still incomplete (the partition is carried).
+    /// Parse the next window of `input` (the same input on every call).
+    /// `None` once the last window is parsed or a step has failed.
     pub(crate) fn step(
         &mut self,
         exec: &KernelExecutor,
-        raw: &[u8],
-        is_last: bool,
-    ) -> Result<Option<Batch>, ParseError> {
+        input: &[u8],
+    ) -> Option<Result<Batch, ParseError>> {
+        if self.done {
+            return None;
+        }
+        let batch = self.parse_next(exec, input);
+        self.done |= batch.is_err();
+        Some(batch)
+    }
+
+    fn parse_next(&mut self, exec: &KernelExecutor, input: &[u8]) -> Result<Batch, ParseError> {
         // Row pruning is whole-input: its indexes don't translate to
         // partition-local rows, and the carry is sliced from unpruned
         // bytes.
         if !self.parser.options().skip_rows.is_empty() {
             return Err(ParseError::SkipRowsInStreaming);
         }
-        let mut work = exec.arena().take_u8("stream/work");
-        work.extend_from_slice(&self.carry);
-        work.extend_from_slice(raw);
-        let carry_bytes = self.carry.len() as u64;
-        self.carry.clear();
-        let batch = self.parse(exec, &work, is_last, raw.len() as u64, carry_bytes);
-        exec.arena().put_u8("stream/work", work);
-        batch
-    }
-
-    fn parse(
-        &mut self,
-        exec: &KernelExecutor,
-        mut work: &[u8],
-        is_last: bool,
-        input_bytes: u64,
-        carry_bytes: u64,
-    ) -> Result<Option<Batch>, ParseError> {
-        if !self.state.header_done {
-            let Some((names, at)) = split_header(self.parser.dfa(), work, is_last) else {
-                self.carry.extend_from_slice(work);
-                return Ok(None);
-            };
-            self.state.header_names = Some(names);
-            self.state.header_done = true;
-            self.state.resume_offset += at as u64;
-            work = &work[at..];
-        }
+        // Cut windows until one has a complete stream header: until then
+        // every window is carried whole.
+        let (work, carry_bytes, input_bytes) = loop {
+            let pos = self.pos.min(input.len());
+            let end = (pos + self.state.partition_size.max(1)).min(input.len());
+            let from = (self.state.resume_offset as usize).min(pos);
+            self.pos = end;
+            self.done = end == input.len();
+            let window = &input[from..end];
+            let carry_bytes = (pos - from) as u64;
+            let input_bytes = (end - pos) as u64;
+            if self.state.header_done {
+                break (window, carry_bytes, input_bytes);
+            }
+            if let Some((names, at)) = split_header(self.parser.dfa(), window, self.done) {
+                self.state.header_names = Some(names);
+                self.state.header_done = true;
+                self.state.resume_offset += at as u64;
+                break (&window[at..], carry_bytes, input_bytes);
+            }
+        };
+        let is_last = self.done;
         let started = Instant::now();
         let (mut retries, mut injected, mut timeouts) = (0u64, 0u64, 0u64);
         let mut relaunched = false;
@@ -388,8 +387,6 @@ impl StreamCursor {
         self.state.records_consumed += records;
         self.state.resume_offset += (work.len() - carry_len) as u64;
         self.state.partitions_emitted += 1;
-        self.carry
-            .extend_from_slice(&work[work.len() - carry_len..]);
 
         // Arena budget pressure since the last partition means the pool
         // refused to hold this partition's buffers: halve the partition
@@ -419,7 +416,7 @@ impl StreamCursor {
             self.checkpoint = self.state.clone();
         }
 
-        Ok(Some(Batch {
+        Ok(Batch {
             report: PartitionReport {
                 input_bytes,
                 carry_bytes,
@@ -439,7 +436,7 @@ impl StreamCursor {
             diagnostics: out.diagnostics,
             rejected: out.stats.rejected_records,
             dropped_diagnostics: out.stats.dropped_diagnostics,
-        }))
+        })
     }
 }
 
@@ -456,7 +453,7 @@ fn concat(mut tables: Vec<Table>) -> Table {
 
 impl Parser {
     /// Parse `input` as a stream of `partition_size`-byte partitions with
-    /// carry-over, using a three-stage threaded pipeline.
+    /// carry-over, each parsed in place as a window of `input`.
     ///
     /// When no schema is configured, the first partition with rows is
     /// parsed with type inference and its inferred schema is fixed for the
@@ -496,94 +493,44 @@ impl Parser {
     ) -> Result<StreamedOutput, Box<StreamInterrupted>> {
         let t0 = Instant::now();
         // One executor for the whole stream: its worker pool persists
-        // across partitions and its arena recycles the partition and work
-        // buffers, so steady-state streaming does near-zero allocation.
+        // across partitions and its arena recycles the parse buffers, so
+        // steady-state streaming does near-zero allocation.
         let exec = self.options().build_executor();
-        let exec = &exec;
         let mut cursor = StreamCursor::new(self, partition_size, resume);
-        // The cursor's effective partition size, published to the
-        // transfer stage after every partition.
-        let eff_psize = &AtomicUsize::new(cursor.partition_size());
-        let start = (cursor.checkpoint().resume_offset as usize).min(input.len());
-
-        let (tx_raw, rx_raw) = sync_channel::<(Vec<u8>, bool)>(1);
-        let (tx_out, rx_out) = sync_channel::<Batch>(1);
-
-        std::thread::scope(|s| {
-            // Stage 1 — "transfer": copy raw partitions into owned buffers
-            // (the host→device DMA stand-in). The capacity-1 channel plus
-            // the buffer being filled makes this a double buffer. The
-            // partition size is re-read each iteration so budget
-            // degradation applies to partitions not yet cut.
-            s.spawn(move || {
-                let mut pos = start;
-                loop {
-                    let end = (pos + eff_psize.load(Ordering::Relaxed)).min(input.len());
-                    let mut buf = exec.arena().take_u8("stream/partition");
-                    buf.extend_from_slice(&input[pos..end]);
-                    pos = end;
-                    let is_last = pos >= input.len();
-                    if tx_raw.send((buf, is_last)).is_err() || is_last {
-                        return;
-                    }
-                }
-            });
-
-            // Stage 3 — "return": collect per-partition outputs (the
-            // device→host stand-in).
-            let collector = s.spawn(move || {
-                let mut tables = Vec::new();
-                let mut out = StreamedOutput {
-                    table: Table::empty(),
-                    partitions: Vec::new(),
-                    rejected_records: 0,
-                    diagnostics: Vec::new(),
-                    dropped_diagnostics: 0,
-                    wall: Duration::ZERO,
-                };
-                while let Ok(b) = rx_out.recv() {
+        let mut tables = Vec::new();
+        let mut completed = StreamedOutput {
+            table: Table::empty(),
+            partitions: Vec::new(),
+            rejected_records: 0,
+            diagnostics: Vec::new(),
+            dropped_diagnostics: 0,
+            wall: Duration::ZERO,
+        };
+        let error = loop {
+            match cursor.step(&exec, input) {
+                None => break None,
+                Some(Err(e)) => break Some(e),
+                Some(Ok(b)) => {
                     tables.push(b.table);
-                    out.partitions.push(b.report);
-                    out.rejected_records += b.rejected;
-                    out.diagnostics.extend(b.diagnostics);
-                    out.dropped_diagnostics += b.dropped_diagnostics;
+                    completed.partitions.push(b.report);
+                    completed.rejected_records += b.rejected;
+                    completed.diagnostics.extend(b.diagnostics);
+                    completed.dropped_diagnostics += b.dropped_diagnostics;
                 }
-                (tables, out)
-            });
-
-            // Stage 2 — parse (this thread).
-            let result = (|| {
-                while let Ok((buf, is_last)) = rx_raw.recv() {
-                    let step = cursor.step(exec, &buf, is_last);
-                    exec.arena().put_u8("stream/partition", buf);
-                    eff_psize.store(cursor.partition_size(), Ordering::Relaxed);
-                    if let Some(batch) = step? {
-                        if tx_out.send(batch).is_err() {
-                            break;
-                        }
-                    }
-                }
-                Ok(())
-            })();
-            drop(tx_out);
-            drop(rx_raw);
-
-            // Invariant: the collector only receives and accumulates —
-            // no user code runs there, so a panic means a bug here.
-            let (tables, mut completed) = collector.join().expect("collector panicked");
-            // The full stream on success, the completed prefix on
-            // interruption.
-            completed.table = concat(tables);
-            completed.wall = t0.elapsed();
-            match result {
-                Ok(()) => Ok(completed),
-                Err(error) => Err(Box::new(StreamInterrupted {
-                    error,
-                    completed,
-                    checkpoint: cursor.checkpoint().clone(),
-                })),
             }
-        })
+        };
+        // The full stream on success, the completed prefix on
+        // interruption.
+        completed.table = concat(tables);
+        completed.wall = t0.elapsed();
+        match error {
+            None => Ok(completed),
+            Some(error) => Err(Box::new(StreamInterrupted {
+                error,
+                completed,
+                checkpoint: cursor.checkpoint().clone(),
+            })),
+        }
     }
 
     /// Iterate the input partition by partition (paper §4.4's pipeline as
@@ -594,9 +541,7 @@ impl Parser {
             exec: self.options().build_executor(),
             cursor: StreamCursor::new(self, partition_size, None),
             input,
-            pos: 0,
             diagnostics: Vec::new(),
-            done: false,
         }
     }
 }
@@ -605,16 +550,14 @@ impl Parser {
 /// carrying incomplete records across `next()` calls. This is the
 /// integration-friendly shape for pipelines that process batches as they
 /// arrive instead of materialising the whole output
-/// ([`Parser::parse_stream`] does the latter). Batches equal the threaded
-/// stream's, and the budget ladder, relaunch recovery and checkpoints
-/// apply here too.
+/// ([`Parser::parse_stream`] does the latter). Batches equal
+/// [`Parser::parse_stream`]'s, and the budget ladder, relaunch recovery
+/// and checkpoints apply here too.
 pub struct PartitionIter<'a> {
     exec: KernelExecutor,
     cursor: StreamCursor,
     input: &'a [u8],
-    pos: usize,
     diagnostics: Vec<RecordDiagnostic>,
-    done: bool,
 }
 
 impl PartitionIter<'_> {
@@ -643,28 +586,18 @@ impl Iterator for PartitionIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         self.diagnostics.clear();
-        while !self.done {
-            let end = (self.pos + self.cursor.partition_size()).min(self.input.len());
-            let raw = &self.input[self.pos..end];
-            self.pos = end;
-            self.done = end == self.input.len();
-            match self.cursor.step(&self.exec, raw, self.done) {
-                Ok(None) => {}
-                Ok(Some(batch)) => {
-                    self.diagnostics.extend(batch.diagnostics);
-                    // A fully carried-over partition yields nothing: pull
-                    // more input.
-                    if batch.table.num_rows() > 0 || self.done {
-                        return Some(Ok(batch.table));
-                    }
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e));
-                }
+        loop {
+            let batch = match self.cursor.step(&self.exec, self.input)? {
+                Ok(batch) => batch,
+                Err(e) => return Some(Err(e)),
+            };
+            self.diagnostics.extend(batch.diagnostics);
+            // A fully carried-over partition yields nothing: pull more
+            // input.
+            if batch.table.num_rows() > 0 || self.cursor.done {
+                return Some(Ok(batch.table));
             }
         }
-        None
     }
 }
 
@@ -673,7 +606,7 @@ mod tests {
     use super::*;
     use crate::options::ParserOptions;
     use parparaw_columnar::{DataType, Field, Value};
-    use parparaw_device::DeviceConfig;
+    use parparaw_device::{CostModel, DeviceConfig};
     use parparaw_dfa::csv::{rfc4180, CsvDialect};
     use parparaw_parallel::Grid;
 
@@ -850,6 +783,7 @@ mod tests {
 
     #[test]
     fn budget_pressure_degrades_partition_size_to_floor() {
+        use parparaw_parallel::CancelToken;
         let input = make_input(4000);
         let mut o = ParserOptions {
             grid: Grid::new(2),
@@ -869,6 +803,33 @@ mod tests {
         assert!(streamed.budget_degradations() >= 2);
         let last = streamed.partitions.last().unwrap();
         assert_eq!(last.partition_size, PARTITION_FLOOR_BYTES);
+        // Every partition is cut at the size its predecessor left in force,
+        // not at a size from before the ladder stepped down.
+        for (i, w) in streamed.partitions.windows(2).enumerate() {
+            assert!(
+                w[1].input_bytes <= w[0].partition_size as u64,
+                "partition {} cut at {} B after the ladder went to {} B",
+                i + 1,
+                w[1].input_bytes,
+                w[0].partition_size
+            );
+        }
+        // So a cancel at the same launch stops both drivers at one
+        // checkpoint (each run gets its own token: clones share state).
+        let cancelled = || {
+            let mut o = p.options().clone();
+            o.cancel = Some(CancelToken::after_launches(30));
+            Parser::new(p.dfa().clone(), o)
+        };
+        let interrupted = cancelled()
+            .parse_stream_resumable(&input, 16 * 1024, None)
+            .unwrap_err();
+        assert!(interrupted.error.is_cancelled());
+        let cancelled = cancelled();
+        let mut it = cancelled.partitions(&input, 16 * 1024);
+        let error = it.by_ref().find_map(Result::err).expect("the token fires");
+        assert!(error.is_cancelled());
+        assert_eq!(it.checkpoint(), &interrupted.checkpoint);
     }
 
     #[test]
@@ -1062,7 +1023,7 @@ mod iter_tests {
         };
         assert!(error.is_cancelled());
         assert!(it.next().is_none());
-        // The checkpoint resumes the rest through the threaded driver.
+        // The checkpoint resumes the rest through parse_stream_resumable.
         let p = parser(false);
         let rest = p
             .parse_stream_resumable(&input, 128, Some(it.checkpoint().clone()))
