@@ -82,6 +82,8 @@ impl SeqContextGpuParser {
         );
 
         // Swap the context-determination profiles for the serial pass.
+        // The parse's other profiles are what `Parser::model` charges:
+        // the model differs from the parse only in pass 1's lane count.
         let mut profiles: Vec<WorkProfile> = Vec::new();
         let mut ctx_profile = WorkProfile::new("parse/seq-context");
         ctx_profile.kernel_launches = 1;
@@ -160,7 +162,10 @@ mod tests {
         let p = SeqContextGpuParser::new(rfc4180(&CsvDialect::default()), opts());
         let out = p.parse(&input).unwrap();
         let seq_sim = p.simulated(&out, &model);
-        let par_sim = &out.output.simulated;
+        let par_sim = Parser::new(rfc4180(&CsvDialect::default()), opts())
+            .model(&input)
+            .unwrap()
+            .simulated;
         assert!(
             seq_sim.total_seconds > par_sim.total_seconds * 3.0,
             "serial context {} vs parallel {}",

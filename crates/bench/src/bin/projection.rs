@@ -36,7 +36,7 @@ fn main() {
             ..ParserOptions::default()
         };
         let parparaw = Parser::new(rfc4180(&CsvDialect::default()), opts.clone())
-            .parse(&data)
+            .model(&data)
             .expect("parses");
         let seq_ctx = SeqContextGpuParser::new(rfc4180(&CsvDialect::default()), opts)
             .parse(&data)

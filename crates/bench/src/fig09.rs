@@ -8,14 +8,15 @@
 
 use crate::datasets::Dataset;
 use crate::{bench_ms, bench_ms_consuming, median, report};
-use parparaw_core::context::determine_contexts_fast;
+use parparaw_core::chunks::num_chunks;
+use parparaw_core::context::range_start_states;
 use parparaw_core::convert::convert_column_with_diags;
 use parparaw_core::css::index_from_runs;
-use parparaw_core::meta::identify_columns_and_records;
+use parparaw_core::meta::identify_ranges;
 use parparaw_core::options::{PartitionKernel, ScanAlgorithm};
 use parparaw_core::partition::partition_by_column_with;
 use parparaw_core::tagging::{tag_symbols, TagConfig};
-use parparaw_core::{parse_csv, ParserOptions};
+use parparaw_core::{parse_csv, Parser, ParserOptions};
 use parparaw_dfa::csv::{rfc4180, CsvDialect};
 use parparaw_parallel::{Bitmap, CancelToken, Grid, KernelExecutor};
 
@@ -35,10 +36,12 @@ pub struct Row {
     pub sim_total_ms: f64,
     /// Total wall ms.
     pub wall_total_ms: f64,
-    /// Wall ms of the pass-1 kernels alone (context determination,
-    /// re-timed outside the pipeline; best of a few reps).
+    /// Wall ms of the pipeline's pass-1 kernels alone (the range-start
+    /// walk and its scan, re-timed outside the pipeline; best of a few
+    /// reps).
     pub pass1_wall_ms: f64,
-    /// Wall ms of the pass-2 kernels alone (bitmaps + chunk metadata).
+    /// Wall ms of the pipeline's pass-2 kernels alone (bitmaps + range
+    /// metadata, and the offset scans).
     pub pass2_wall_ms: f64,
     /// Wall ms of the partition phase alone, run-scatter kernel.
     pub partition_wall_ms: f64,
@@ -63,41 +66,51 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
                 ..ParserOptions::default()
             }
             .chunk_size(cs);
-            let out = parse_csv(&data, opts).expect("dataset parses");
+            let parser = Parser::new(dfa.clone(), opts);
+            let out = parser.parse(&data).expect("dataset parses");
+            let model = parser.model(&data).expect("dataset parses");
             let wall_ms: Vec<(String, f64)> = out
                 .timings
                 .phases()
                 .iter()
                 .map(|(n, d)| (n.to_string(), d.as_secs_f64() * 1e3))
                 .collect();
-            let sim_ms: Vec<(String, f64)> = out
+            let sim_ms: Vec<(String, f64)> = model
                 .simulated
                 .phases
                 .iter()
                 .map(|(n, s)| (n.clone(), s * 1e3))
                 .collect();
 
-            // Isolated pass-1/pass-2 timings, for the speedup tracking in
-            // EXPERIMENTS.md (the pipeline buckets both under "parse").
+            // Isolated timings of the host pass 1 (with its scan) and pass
+            // 2 (with the offset scans) the pipeline runs, for the speedup
+            // tracking in EXPERIMENTS.md (the pipeline buckets the passes
+            // under "parse" and their scans under "scan").
             let exec = KernelExecutor::new(Grid::new(workers));
             let reps = 3;
+            let ranges = exec.grid().partition(num_chunks(data.len(), cs));
             let pass1 = || {
-                determine_contexts_fast(&exec, &dfa, &data, cs, ScanAlgorithm::Blocked, None)
-                    .expect("pass 1 runs")
+                range_start_states(
+                    &exec,
+                    &dfa,
+                    &data,
+                    cs,
+                    &ranges,
+                    ScanAlgorithm::Blocked,
+                    None,
+                )
+                .expect("pass 1 runs")
             };
-            let pass1_wall_ms = bench_ms(reps, || pass1().final_state);
-            let ctx = pass1();
-            let pass2_wall_ms = bench_ms(reps, || {
-                identify_columns_and_records(&exec, &dfa, &data, cs, &ctx.start_states)
-                    .expect("pass 2 runs")
-                    .num_records
-            });
+            let pass1_wall_ms = bench_ms(reps, pass1);
+            let starts = pass1();
+            let pass2 =
+                || identify_ranges(&exec, &dfa, &data, cs, &ranges, &starts).expect("pass 2 runs");
+            let pass2_wall_ms = bench_ms(reps, || pass2().num_records);
 
             // Isolated partition (both kernels) and convert timings. The
             // partition kernels consume the tagged buffers, so each rep
             // scatters a fresh clone (made outside the timed region).
-            let meta = identify_columns_and_records(&exec, &dfa, &data, cs, &ctx.start_states)
-                .expect("pass 2 runs");
+            let meta = pass2();
             let num_cols = schema.num_columns();
             let col_map: Vec<Option<u32>> = (0..num_cols as u32).map(Some).collect();
             let cfg = TagConfig {
@@ -155,7 +168,7 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
             Row {
                 chunk_size: cs,
                 wall_total_ms: out.timings.total().as_secs_f64() * 1e3,
-                sim_total_ms: out.simulated.total_seconds * 1e3,
+                sim_total_ms: model.simulated.total_seconds * 1e3,
                 wall_ms,
                 sim_ms,
                 pass1_wall_ms,

@@ -9,7 +9,8 @@
 
 use crate::datasets::Dataset;
 use crate::report;
-use parparaw_core::{parse_csv, ParserOptions};
+use parparaw_core::{Parser, ParserOptions};
+use parparaw_dfa::csv::{rfc4180, CsvDialect};
 use parparaw_parallel::Grid;
 
 /// One sweep point.
@@ -45,10 +46,12 @@ pub fn run(dataset: Dataset, max_bytes: usize, workers: usize) -> Vec<Row> {
                 schema: Some(schema.clone()),
                 ..ParserOptions::default()
             };
-            let out = parse_csv(slice, opts).expect("dataset parses");
+            let parser = Parser::new(rfc4180(&CsvDialect::default()), opts);
+            let out = parser.parse(slice).expect("dataset parses");
+            let model = parser.model(slice).expect("dataset parses");
             Row {
                 bytes,
-                sim_rate_gbps: out.simulated.rate_gbps,
+                sim_rate_gbps: model.simulated.rate_gbps,
                 wall_rate_mbps: bytes as f64 / 1e6 / out.timings.total().as_secs_f64(),
             }
         })

@@ -9,7 +9,8 @@
 
 use crate::datasets::Dataset;
 use crate::{median, report};
-use parparaw_core::{parse_csv, ParserOptions, TaggingMode};
+use parparaw_core::{Parser, ParserOptions, TaggingMode};
+use parparaw_dfa::csv::{rfc4180, CsvDialect};
 use parparaw_parallel::Grid;
 
 /// One (dataset, mode) measurement.
@@ -44,7 +45,9 @@ pub fn run_modes(bytes: usize, workers: usize) -> Vec<ModeRow> {
                 tagging: mode,
                 ..ParserOptions::default()
             };
-            let out = parse_csv(&data, opts).expect("dataset parses in every mode");
+            let parser = Parser::new(rfc4180(&CsvDialect::default()), opts);
+            let out = parser.parse(&data).expect("dataset parses in every mode");
+            let model = parser.model(&data).expect("dataset parses in every mode");
             rows.push(ModeRow {
                 dataset: dataset.short(),
                 mode: match mode {
@@ -52,13 +55,13 @@ pub fn run_modes(bytes: usize, workers: usize) -> Vec<ModeRow> {
                     TaggingMode::InlineTerminated { .. } => "inline",
                     TaggingMode::VectorDelimited => "delimited",
                 },
-                sim_phase_ms: out
+                sim_phase_ms: model
                     .simulated
                     .phases
                     .iter()
                     .map(|(n, s)| (n.clone(), s * 1e3))
                     .collect(),
-                sim_total_ms: out.simulated.total_seconds * 1e3,
+                sim_total_ms: model.simulated.total_seconds * 1e3,
                 wall_total_ms: out.timings.total().as_secs_f64() * 1e3,
             });
         }
@@ -95,24 +98,26 @@ pub fn run_skew(bytes: usize, giant_bytes: usize, workers: usize) -> Vec<SkewRow
         0xE11A5,
     );
     let schema = parparaw_workloads::yelp::schema();
-    let parse = |data: &[u8]| {
-        let opts = ParserOptions {
+    let parser = Parser::new(
+        rfc4180(&CsvDialect::default()),
+        ParserOptions {
             grid: Grid::new(workers),
-            schema: Some(schema.clone()),
+            schema: Some(schema),
             ..ParserOptions::default()
-        };
-        parse_csv(data, opts).expect("skewed data parses")
-    };
+        },
+    );
+    let parse = |data: &[u8]| parser.parse(data).expect("skewed data parses");
     let variants = [("original", original), ("skewed", skewed)];
-    // The warm-up parse supplies the simulated time and tier count, which
-    // do not depend on the run.
+    // The warm-up parse supplies the tier count and the model the
+    // simulated time; neither depends on the run.
     let mut rows: Vec<SkewRow> = variants
         .iter()
         .map(|&(variant, ref data)| {
             let out = parse(data);
+            let model = parser.model(data).expect("skewed data parses");
             SkewRow {
                 variant,
-                sim_total_ms: out.simulated.total_seconds * 1e3,
+                sim_total_ms: model.simulated.total_seconds * 1e3,
                 wall_total_ms: 0.0,
                 device_level_fields: out.stats.collaborative_fields - out.stats.block_level_fields,
             }
@@ -128,6 +133,37 @@ pub fn run_skew(bytes: usize, giant_bytes: usize, workers: usize) -> Vec<SkewRow
         row.wall_total_ms = median(wall);
     }
     rows
+}
+
+/// Render the tagging-mode series as the `BENCH_fig11.json`
+/// machine-readable report: per dataset and mode, the simulated total and
+/// per-phase milliseconds plus the wall total.
+pub fn to_json(bytes: usize, workers: usize, modes: &[ModeRow]) -> String {
+    use report::{json_num, json_str};
+    let rows: Vec<String> = modes
+        .iter()
+        .map(|r| {
+            let phases: Vec<String> = r
+                .sim_phase_ms
+                .iter()
+                .map(|(n, v)| format!("{{\"name\": {}, \"sim_ms\": {}}}", json_str(n), json_num(*v)))
+                .collect();
+            format!(
+                "    {{ \"dataset\": {}, \"mode\": {}, \"sim_total_ms\": {}, \"wall_total_ms\": {}, \
+                 \"phases\": [{}] }}",
+                json_str(r.dataset),
+                json_str(r.mode),
+                json_num(r.sim_total_ms),
+                json_num(r.wall_total_ms),
+                phases.join(", ")
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"harness\": \"fig11\",\n  \"bytes\": {bytes},\n  \"workers\": {workers},\n  \
+         \"modes\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
 }
 
 /// Print both halves of the figure.
@@ -218,7 +254,12 @@ mod tests {
             skew.sim_total_ms,
             orig.sim_total_ms
         );
-        let text = print(&run_modes(100_000, 2), &rows);
+        let modes = run_modes(100_000, 2);
+        let text = print(&modes, &rows);
         assert!(text.contains("skewed"));
+        let json = to_json(100_000, 2, &modes);
+        assert!(json.contains("\"harness\": \"fig11\""));
+        assert_eq!(json.matches("\"mode\"").count(), modes.len());
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 }

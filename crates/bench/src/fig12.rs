@@ -25,6 +25,8 @@ pub struct Row {
     pub wall_s: f64,
     /// Number of partitions.
     pub partitions: usize,
+    /// Simulated on-device parse milliseconds of each partition.
+    pub sim_parse_ms: Vec<f64>,
 }
 
 /// Sweep partition sizes over a fixed input.
@@ -43,7 +45,8 @@ pub fn run(dataset: Dataset, bytes: usize, partition_sizes: &[usize], workers: u
         .iter()
         .map(|&ps| {
             let streamed = parser.parse_stream(&data, ps).expect("stream parses");
-            let sim = streamed
+            let modelled = parser.model_stream(&data, ps).expect("stream parses");
+            let sim = modelled
                 .streaming_plan(PcieLink::pcie3_x16())
                 .simulate(&model);
             Row {
@@ -51,6 +54,11 @@ pub fn run(dataset: Dataset, bytes: usize, partition_sizes: &[usize], workers: u
                 sim_end_to_end_s: sim.total_seconds,
                 wall_s: streamed.wall.as_secs_f64(),
                 partitions: streamed.partitions.len(),
+                sim_parse_ms: modelled
+                    .partitions
+                    .iter()
+                    .map(|p| p.parse_seconds_simulated * 1e3)
+                    .collect(),
             }
         })
         .collect()
@@ -67,6 +75,43 @@ pub fn default_partition_sizes(bytes: usize) -> Vec<usize> {
     }
     sizes.push(bytes);
     sizes
+}
+
+/// Render the sweeps as the `BENCH_fig12.json` machine-readable report:
+/// per dataset and partition size, the simulated end-to-end and
+/// per-partition parse milliseconds plus the wall seconds.
+pub fn to_json(bytes: usize, workers: usize, results: &[(Dataset, Vec<Row>)]) -> String {
+    use report::{json_num, json_str};
+    let datasets: Vec<String> = results
+        .iter()
+        .map(|(dataset, rows)| {
+            let rows: Vec<String> = rows
+                .iter()
+                .map(|r| {
+                    let parse: Vec<String> = r.sim_parse_ms.iter().map(|&v| json_num(v)).collect();
+                    format!(
+                        "      {{ \"partition_bytes\": {}, \"partitions\": {}, \"sim_e2e_ms\": {}, \
+                         \"wall_s\": {}, \"sim_parse_ms\": [{}] }}",
+                        r.partition_bytes,
+                        r.partitions,
+                        json_num(r.sim_end_to_end_s * 1e3),
+                        json_num(r.wall_s),
+                        parse.join(", ")
+                    )
+                })
+                .collect();
+            format!(
+                "    {{ \"name\": {}, \"rows\": [\n{}\n    ] }}",
+                json_str(dataset.short()),
+                rows.join(",\n")
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"harness\": \"fig12\",\n  \"bytes\": {bytes},\n  \"workers\": {workers},\n  \
+         \"datasets\": [\n{}\n  ]\n}}\n",
+        datasets.join(",\n")
+    )
 }
 
 /// Print the series.
@@ -116,8 +161,13 @@ mod tests {
             tiny.sim_end_to_end_s,
             mid.sim_end_to_end_s
         );
+        assert!(rows.iter().all(|r| r.sim_parse_ms.len() == r.partitions));
         let text = print(Dataset::Taxi, &rows);
         assert!(text.contains("partition"));
+        let json = to_json(bytes, 2, &[(Dataset::Taxi, rows)]);
+        assert!(json.contains("\"harness\": \"fig12\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]

@@ -99,7 +99,8 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
         let parser = Parser::new(dfa.clone(), opts());
         let partition = (data.len() / 8).max(1 << 20);
         let streamed = parser.parse_stream(&data, partition).expect("streams");
-        let sim = streamed.streaming_plan(link.clone()).simulate(&gpu);
+        let modelled = parser.model_stream(&data, partition).expect("streams");
+        let sim = modelled.streaming_plan(link.clone()).simulate(&gpu);
         // Extrapolation to the paper's dataset: the paper streams 128 MB
         // partitions; scale the measured per-kernel work to one such
         // partition (launch counts fixed) and replay the Fig. 7 schedule
@@ -108,8 +109,13 @@ pub fn run(dataset: Dataset, bytes: usize, workers: usize) -> Vec<Row> {
         // amortises.
         let part_bytes: u64 = 128 << 20;
         let n_parts = paper_bytes(dataset).div_ceil(part_bytes) as usize;
-        let parse_seconds =
-            scaled_seconds(&gpu, &reference.profiles, data.len() as u64, part_bytes);
+        let reference_model = parser.model(&data).expect("parses");
+        let parse_seconds = scaled_seconds(
+            &gpu,
+            &reference_model.profiles,
+            data.len() as u64,
+            part_bytes,
+        );
         let out_per_part =
             (reference.stats.output_bytes as f64 * part_bytes as f64 / data.len() as f64) as u64;
         let plan = StreamingPlan {

@@ -86,6 +86,14 @@ pub fn arg_size(flag: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
+/// Read a comma-separated `--partitions 64K,256K`-style size list from
+/// `std::env::args`; `None` when the flag is absent or a size is bad.
+pub fn arg_sizes(flag: &str) -> Option<Vec<usize>> {
+    let args: Vec<String> = std::env::args().collect();
+    let value = args.get(args.iter().position(|a| a == flag)? + 1)?;
+    value.split(',').map(parse_size).collect()
+}
+
 /// Whether a bare `--json`-style flag is present on the command line.
 pub fn arg_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)

@@ -32,6 +32,17 @@ pub fn num_chunks(len: usize, chunk_size: usize) -> usize {
     len.div_ceil(chunk_size.max(1))
 }
 
+/// Whether `ranges` tile chunks `0..n_chunks` in order, none empty (one
+/// `0..0` when there are no chunks): the shape of `Grid::partition`,
+/// which passes 1 and 2 walk.
+pub(crate) fn tile(ranges: &[Range<usize>], n_chunks: usize) -> bool {
+    let nonempty = n_chunks == 0 || ranges.iter().all(|r| !r.is_empty());
+    nonempty
+        && ranges.first().is_some_and(|r| r.start == 0)
+        && ranges.last().is_some_and(|r| r.end == n_chunks)
+        && ranges.windows(2).all(|w| w[0].end == w[1].start)
+}
+
 /// Whether a byte is a UTF-8 continuation byte (`0b10xx_xxxx`), i.e. a
 /// trailing byte the chunk's owner must skip.
 #[inline(always)]
@@ -82,6 +93,19 @@ pub fn utf16_is_high_surrogate(unit: u16) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tiles_are_the_grid_partition_shape() {
+        assert!(tile(std::slice::from_ref(&(0..0)), 0));
+        assert!(tile(&[0..3, 3..5], 5));
+        assert!(!tile(&[], 0), "no range at all");
+        assert!(!tile(&[0..3, 4..5], 5), "gap");
+        assert!(!tile(&[0..3, 3..3, 3..5], 5), "empty range");
+        assert!(!tile(std::slice::from_ref(&(0..3)), 5), "short");
+        for (n, k) in [(0usize, 3usize), (2, 8), (100, 3)] {
+            assert!(tile(&parparaw_parallel::grid::partition(n, k), n));
+        }
+    }
 
     #[test]
     fn ranges_cover_input() {

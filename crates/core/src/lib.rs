@@ -64,6 +64,7 @@ pub mod encoding;
 pub mod error;
 pub mod infer;
 pub mod meta;
+pub mod model;
 pub mod options;
 pub mod partition;
 pub mod pipeline;
@@ -74,6 +75,7 @@ pub mod timings;
 
 pub use diag::{RecordDiagnostic, RejectReason};
 pub use error::ParseError;
+pub use model::{ParseModel, PartitionModel, StreamModel};
 pub use options::{
     ErrorPolicy, FaultInjection, ParserOptions, PartitionKernel, ScanAlgorithm, TaggingMode,
 };

@@ -16,13 +16,15 @@
 //!
 //! As in pass 1 (see [`crate::context`]) the chunk is the modelled unit —
 //! the work counters charge the paper's per-chunk metadata — while the
-//! host walks one worker range of chunks at a time, from the range's first
-//! start state. To the metadata logic a range is one big chunk: the walk
-//! accumulates the range's totals directly, the offset scans run over the
-//! ≤ `workers` range totals, and their results are the [`RangeStart`]s the
-//! tag walk (see [`crate::tagging`]) begins each range from.
+//! host walks one worker range of chunks at a time, from the start state
+//! pass 1 resolved for it ([`identify_ranges`]). To the metadata logic a
+//! range is one big chunk: the walk accumulates the range's totals
+//! directly, the offset scans run over the ≤ `workers` range totals, and
+//! their results are the [`RangeStart`]s the tag walk (see
+//! [`crate::tagging`]) begins each range from. The last range's walk ends
+//! in the input's final state, so pass 1 need not walk that range.
 
-use crate::chunks::num_chunks;
+use crate::chunks::{num_chunks, tile};
 use parparaw_dfa::Dfa;
 use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::{self, ScanOp};
@@ -116,6 +118,9 @@ pub struct MetaPass {
     /// trailing undelimited record) — what streaming partitions use, since
     /// their trailing record is deferred to the next partition.
     pub observed_columns_closed: Option<(u32, u32)>,
+    /// The DFA state after the whole input, where the last range's walk
+    /// ends — used for validation.
+    pub final_state: u8,
 }
 
 /// One worker range's pass-2 totals — the element of the ≤ `workers`-long
@@ -242,8 +247,11 @@ impl Pass2Walk<'_> {
     }
 }
 
-/// Run pass 2 plus the offset scans as two executor launches
-/// (`parse/pass2` and `scan/offsets`).
+/// The per-chunk reference entry to pass 2: [`identify_ranges`] over the
+/// executor grid's worker ranges of chunks, each starting in its first
+/// chunk's entry of `start_states` (one per chunk, as
+/// [`determine_contexts_fast`](crate::context::determine_contexts_fast)
+/// returns them).
 ///
 /// # Panics
 /// When `start_states` does not hold one state per chunk.
@@ -254,59 +262,107 @@ pub fn identify_columns_and_records(
     chunk_size: usize,
     start_states: &[u8],
 ) -> Result<MetaPass, LaunchError> {
-    let n = input.len();
-    let cs = chunk_size.max(1);
-    let n_chunks = num_chunks(n, cs);
+    let n_chunks = num_chunks(input.len(), chunk_size.max(1));
     // The walks read only the entries at range starts; a short slice
     // would silently give wrong output, so check it in release builds too.
     assert_eq!(start_states.len(), n_chunks, "one start state per chunk");
+    let ranges = exec.grid().partition(n_chunks);
+    let starts: Vec<u8> = ranges
+        .iter()
+        .map(|r| {
+            start_states
+                .get(r.start)
+                .copied()
+                .unwrap_or(dfa.start_state())
+        })
+        .collect();
+    identify_ranges(exec, dfa, input, chunk_size, &ranges, &starts)
+}
+
+/// Run pass 2 plus the offset scans as two executor launches
+/// (`parse/pass2` and `scan/offsets`): one walk per range of `ranges`,
+/// each from its entry of `start_states`.
+///
+/// # Panics
+/// When `ranges` do not tile the chunks in order, none empty (as
+/// `Grid::partition` cuts them), or `start_states` does not hold one
+/// state per range.
+pub fn identify_ranges(
+    exec: &KernelExecutor,
+    dfa: &Dfa,
+    input: &[u8],
+    chunk_size: usize,
+    ranges: &[Range<usize>],
+    start_states: &[u8],
+) -> Result<MetaPass, LaunchError> {
+    let n = input.len();
+    let cs = chunk_size.max(1);
+    let n_chunks = num_chunks(n, cs);
+    assert!(
+        tile(ranges, n_chunks),
+        "ranges must tile the chunks in order"
+    );
+    assert_eq!(
+        start_states.len(),
+        ranges.len(),
+        "one start state per range"
+    );
 
     let maps: [AtomicBitmap; 4] = std::array::from_fn(|_| AtomicBitmap::new(n));
 
-    // Kernel: one single-instance DFA walk per worker range of chunks,
-    // from the range's first start state, accumulating the range totals.
-    // The chunk stays the modelled unit: the walk polls for aborts per
-    // chunk, and the counters charge the per-chunk metadata. Bitmap bits
-    // accumulate in a local word per bitmap, flushed once per word with a
-    // plain store — only the ≤ 2 edge words a neighbouring range shares
-    // take an atomic OR. Every byte costs one fused table step
+    // Kernel: one single-instance DFA walk per range, from the range's
+    // start state, accumulating the range totals and ending in the
+    // state after its last byte — the last range's is the input's final
+    // state. The chunk stays the modelled unit: the walk polls for aborts
+    // per chunk, and the counters charge the per-chunk metadata. Bitmap
+    // bits accumulate in a local word per bitmap, flushed once per word
+    // with a plain store — only the ≤ 2 edge words a neighbouring range
+    // shares take an atomic OR. Every byte costs one fused table step
     // (`byte_emit_row` / `byte_row` fold the group lookup into the fetch).
-    let (parts, totals) = exec.launch("parse/pass2", n_chunks, |grid, counters| {
+    let (totals, ends) = exec.launch("parse/pass2", n_chunks, |grid, counters| {
         counters.bytes_read = n as u64;
         // Four bitmaps plus the per-chunk metadata.
         counters.bytes_written = (n as u64).div_ceil(2) + (n_chunks as u64) * 24;
         // The modelled per-chunk kernel: one fused table step per byte;
         // bitmap writes amortise per word.
         counters.parallel_ops = n as u64 + (n as u64).div_ceil(16);
-        let parts = grid.partition(n_chunks);
-        let mut totals = vec![RangeMeta::EMPTY; parts.len()];
+        let mut totals = vec![RangeMeta::EMPTY; ranges.len()];
+        let mut ends = start_states.to_vec();
         {
             let totals_w = SlotWriter::new(&mut totals);
-            grid.run_partitioned(n_chunks, |w, chunks| {
-                if chunks.is_empty() {
-                    return;
+            let ends_w = SlotWriter::new(&mut ends);
+            grid.run_partitioned(ranges.len(), |_, ids| {
+                for j in ids {
+                    let chunks = ranges[j].clone();
+                    if chunks.is_empty() {
+                        continue;
+                    }
+                    let (lo, hi) = (chunks.start * cs, (chunks.end * cs).min(n));
+                    let mut walk = Pass2Walk {
+                        dfa,
+                        maps: &maps,
+                        edges: (lo >> 6, (hi - 1) >> 6),
+                        state: start_states[j],
+                        wi: lo >> 6,
+                        acc: [0; 4],
+                        totals: RangeMeta::EMPTY,
+                    };
+                    for c in chunks {
+                        grid.check_abort(c);
+                        walk.walk(input, c * cs, ((c + 1) * cs).min(n));
+                    }
+                    walk.flush(walk.wi, walk.acc);
+                    // SAFETY: each range index goes to exactly one worker.
+                    unsafe {
+                        totals_w.write(j, walk.totals);
+                        ends_w.write(j, walk.state);
+                    }
                 }
-                let (lo, hi) = (chunks.start * cs, (chunks.end * cs).min(n));
-                let mut walk = Pass2Walk {
-                    dfa,
-                    maps: &maps,
-                    edges: (lo >> 6, (hi - 1) >> 6),
-                    state: start_states[chunks.start],
-                    wi: lo >> 6,
-                    acc: [0; 4],
-                    totals: RangeMeta::EMPTY,
-                };
-                for c in chunks {
-                    grid.check_abort(c);
-                    walk.walk(input, c * cs, ((c + 1) * cs).min(n));
-                }
-                walk.flush(walk.wi, walk.acc);
-                // SAFETY: one slot per worker range, written by its worker.
-                unsafe { totals_w.write(w, walk.totals) };
             });
         }
-        (parts, totals)
+        (totals, ends)
     })?;
+    let final_state = ends.last().copied().unwrap_or(dfa.start_state());
 
     let [records, fields, control, rejects] = maps.map(AtomicBitmap::into_bitmap);
 
@@ -335,7 +391,7 @@ pub fn identify_columns_and_records(
             scan::exclusive_scan_total(grid, &counts, &scan::AddOp);
         let offs: Vec<ColOffset> = totals.iter().map(RangeMeta::col).collect();
         let (col_bases, col_total) = scan::exclusive_scan_total(grid, &offs, &ColOffsetOp);
-        let ranges: Vec<RangeStart> = parts
+        let ranges: Vec<RangeStart> = ranges
             .iter()
             .zip(&record_bases)
             .zip(&col_bases)
@@ -383,6 +439,7 @@ pub fn identify_columns_and_records(
 
     let num_records = total_record_delims + u64::from(has_trailing_record);
     Ok(MetaPass {
+        final_state,
         records,
         fields,
         control,

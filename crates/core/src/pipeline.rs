@@ -2,11 +2,12 @@
 //!
 //! [`Parser::parse`] runs the five phases over an in-memory input:
 //!
-//! 1. **parse** — pass 1 (multi-DFA state-transition vectors) and pass 2
-//!    (bitmaps + record and column totals per worker range of chunks,
-//!    from the recovered contexts);
-//! 2. **scan** — the composite-operator scan and the record/column offset
-//!    scans, which give each pass-2 range its starting record and column;
+//! 1. **parse** — pass 1 (multi-DFA state-transition vectors, walked only
+//!    up to the last pass-2 range) and pass 2 (bitmaps + record and column
+//!    totals per worker range of chunks, from the recovered contexts);
+//! 2. **scan** — the composite-operator scan, which gives each pass-2
+//!    range its start state, and the record/column offset scans, which
+//!    give it its starting record and column;
 //! 3. **tag** — compaction of relevant symbols into field runs carrying
 //!    their column and record, walking pass 2's ranges (mode-dependent,
 //!    §4.1);
@@ -16,25 +17,26 @@
 //!    columnar materialisation.
 //!
 //! Every phase runs as an instrumented [`KernelExecutor`] launch; the
-//! per-phase wall-clock timings (the categories of paper Fig. 9), the
-//! per-kernel work profiles, and the simulated-device cost replay are all
-//! derived from the executor's launch log.
+//! per-phase wall-clock timings (the categories of paper Fig. 9) and the
+//! per-kernel work profiles are derived from the executor's launch log.
+//! The simulated-device replay runs on request ([`Parser::model`]).
 //!
 //! [`KernelExecutor`]: parparaw_parallel::KernelExecutor
 
+use crate::context::resolve_range_starts;
 use crate::convert::convert_column_with_diags;
 use crate::css::{index_from_runs, FieldIndex};
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
 use crate::error::ParseError;
 use crate::infer::infer_column_type;
-use crate::meta::identify_columns_and_records;
+use crate::meta::identify_ranges;
 use crate::options::{ErrorPolicy, ParserOptions, TaggingMode};
 use crate::partition::partition_by_column_with;
 use crate::streaming::Checkpoint;
 use crate::tagging::{tag_symbols, TagConfig};
-use crate::timings::{ParseOutput, ParseStats, PhaseTimings, SimulatedTimings};
+use crate::timings::{ParseOutput, ParseStats, PhaseTimings};
 use parparaw_columnar::{DataType, Field, Schema, Table};
-use parparaw_device::{CostModel, WorkProfile};
+use parparaw_device::WorkProfile;
 use parparaw_dfa::csv::{rfc4180, CsvDialect};
 use parparaw_dfa::{Dfa, PairTable};
 use parparaw_parallel::{Bitmap, KernelExecutor};
@@ -69,7 +71,7 @@ impl Parser {
     /// Parse `input` into a columnar table.
     pub fn parse(&self, input: &[u8]) -> Result<ParseOutput, ParseError> {
         let exec = self.options.build_executor();
-        Ok(self.parse_with(&exec, input, false, None)?.out)
+        Ok(self.parse_with(&exec, input, false, None, false)?.out)
     }
 
     /// Run the full pipeline on an explicit executor. The streaming path
@@ -80,13 +82,16 @@ impl Parser {
     /// With `drop_trailing`, the record not closed by a record delimiter
     /// is left for the next partition. `stream` is where the stream stood
     /// before `input` (its header already split off): `skip_records` and
-    /// diagnostics then count from the stream start.
+    /// diagnostics then count from the stream start. With `model`,
+    /// `parse/pass1` also charges the per-chunk lane count the device cost
+    /// model reads (see [`crate::model`]).
     pub(crate) fn parse_with(
         &self,
         exec: &KernelExecutor,
         input: &[u8],
         drop_trailing: bool,
         stream: Option<&Checkpoint>,
+        model: bool,
     ) -> Result<Parsed, ParseError> {
         let o = &self.options;
         let cs = o.chunk_size;
@@ -126,17 +131,23 @@ impl Parser {
                 .unwrap_or_else(|| format!("c{raw}"))
         };
 
-        // Phases 1+2: context recovery and metadata.
-        let ctx = crate::context::determine_contexts_fast(
+        // Phases 1+2: the start state of each pass-2 range, then the
+        // bitmaps and metadata (which end in the input's final state).
+        let ranges = exec
+            .grid()
+            .partition(crate::chunks::num_chunks(input.len(), cs));
+        let starts = resolve_range_starts(
             exec,
             &self.dfa,
             input,
             cs,
+            &ranges,
             o.scan_algorithm,
             self.pair.as_ref(),
+            model,
         )?;
-        let meta = identify_columns_and_records(exec, &self.dfa, input, cs, &ctx.start_states)?;
-        let input_valid = self.dfa.is_accepting(ctx.final_state);
+        let meta = identify_ranges(exec, &self.dfa, input, cs, &ranges, &starts)?;
+        let input_valid = self.dfa.is_accepting(meta.final_state);
 
         // Column universe: schema count or inferred maximum. Streaming
         // partitions exclude the (deferred) trailing record.
@@ -425,13 +436,11 @@ impl Parser {
         };
 
         // Everything the caller learns about time and work comes from the
-        // executor's launch log: wall-clock phase buckets, per-kernel
-        // profiles, and the simulated-device replay.
+        // executor's launch log: wall-clock phase buckets and per-kernel
+        // profiles.
         let log = exec.drain_log();
         let timings = PhaseTimings::from_log(&log);
         let profiles: Vec<WorkProfile> = log.iter().map(WorkProfile::from_launch).collect();
-        let model = CostModel::new(o.device.clone());
-        let simulated = SimulatedTimings::from_profiles(&model, &profiles, input.len() as u64);
 
         Ok(Parsed {
             out: ParseOutput {
@@ -441,7 +450,6 @@ impl Parser {
                 stats,
                 timings,
                 profiles,
-                simulated,
             },
             carry_len,
             records,
@@ -756,9 +764,13 @@ mod tests {
         assert!(out.stats.input_valid);
         assert_eq!(out.stats.total_fields, 6);
         assert!(out.profiles.len() >= 6);
-        assert!(out.simulated.total_seconds > 0.0);
-        assert!(out.simulated.rate_gbps > 0.0);
-        let cats: Vec<&str> = out
+        let model = Parser::new(rfc4180(&CsvDialect::default()), opts())
+            .model(input)
+            .unwrap();
+        assert_eq!(model.profiles.len(), out.profiles.len());
+        assert!(model.simulated.total_seconds > 0.0);
+        assert!(model.simulated.rate_gbps > 0.0);
+        let cats: Vec<&str> = model
             .simulated
             .phases
             .iter()
@@ -792,10 +804,10 @@ mod tests {
         let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\"\n";
         let parser = Parser::new(rfc4180(&CsvDialect::default()), opts());
         let exec = KernelExecutor::new(Grid::new(2));
-        parser.parse_with(&exec, input, false, None).unwrap();
+        parser.parse_with(&exec, input, false, None, false).unwrap();
         let (_, misses_first) = exec.arena().stats();
         assert!(misses_first > 0, "first run allocates fresh");
-        parser.parse_with(&exec, input, false, None).unwrap();
+        parser.parse_with(&exec, input, false, None, false).unwrap();
         // Stats reset at the start of each run, so the second run's
         // counters stand alone: all takes hit, nothing allocated.
         let (hits, misses_second) = exec.arena().stats();

@@ -17,17 +17,17 @@
 //! thread; they differ only in whether the batches are collected or
 //! yielded.
 //!
-//! Every partition's **measured work** is recorded so the simulated device
-//! can replay the Fig. 7 transfer/parse/return overlap over the PCIe link
-//! model ([`StreamedOutput::streaming_plan`]).
+//! [`Parser::model_stream`] runs the same cursor with the modelled
+//! counters on, so the simulated device can replay the Fig. 7
+//! transfer/parse/return overlap over the PCIe link model
+//! ([`StreamModel::streaming_plan`](crate::StreamModel::streaming_plan)).
 
 use crate::diag::RecordDiagnostic;
 use crate::error::ParseError;
 use crate::options::ErrorPolicy;
 use crate::pipeline::{split_header, Parsed, Parser};
 use parparaw_columnar::{Schema, Table};
-use parparaw_device::streaming::PartitionCost;
-use parparaw_device::{PcieLink, StreamingPlan};
+use parparaw_device::WorkProfile;
 use parparaw_parallel::{Grid, KernelExecutor, LaunchMode};
 use std::time::{Duration, Instant};
 
@@ -48,9 +48,6 @@ pub struct PartitionReport {
     pub output_bytes: u64,
     /// Wall-clock parse time on this host.
     pub parse_wall: Duration,
-    /// Simulated on-device parse seconds (cost model over the partition's
-    /// measured work profiles).
-    pub parse_seconds_simulated: f64,
     /// Records produced by this partition.
     pub records: u64,
     /// Launch attempts beyond the first while parsing this partition.
@@ -94,23 +91,6 @@ pub struct StreamedOutput {
 }
 
 impl StreamedOutput {
-    /// Build the Fig. 7 schedule inputs for the device simulator.
-    pub fn streaming_plan(&self, link: PcieLink) -> StreamingPlan {
-        StreamingPlan {
-            link,
-            partitions: self
-                .partitions
-                .iter()
-                .map(|p| PartitionCost {
-                    input_bytes: p.input_bytes,
-                    output_bytes: p.output_bytes,
-                    carry_bytes: p.carry_bytes,
-                    parse_seconds: p.parse_seconds_simulated,
-                })
-                .collect(),
-        }
-    }
-
     /// Total launch retries across all partitions.
     pub fn total_retries(&self) -> u64 {
         self.partitions.iter().map(|p| p.retries).sum()
@@ -213,7 +193,9 @@ impl std::error::Error for StreamInterrupted {
 /// One partition's output from the cursor, diagnostics stream-global.
 pub(crate) struct Batch {
     table: Table,
-    report: PartitionReport,
+    pub(crate) report: PartitionReport,
+    /// The work profile of every launch that parsed the partition.
+    pub(crate) profiles: Vec<WorkProfile>,
     diagnostics: Vec<RecordDiagnostic>,
     rejected: u64,
     dropped_diagnostics: u64,
@@ -252,6 +234,9 @@ pub(crate) struct StreamCursor {
     floor: usize,
     /// Arena pressure events seen so far.
     last_pressure: u64,
+    /// Whether partitions charge the modelled counters (see
+    /// [`crate::model`]).
+    model: bool,
 }
 
 impl StreamCursor {
@@ -281,7 +266,14 @@ impl StreamCursor {
             state,
             floor: partition_size.min(PARTITION_FLOOR_BYTES),
             last_pressure: 0,
+            model: false,
         }
+    }
+
+    /// The same cursor, charging the modelled counters.
+    pub(crate) fn modelled(mut self) -> Self {
+        self.model = true;
+        self
     }
 
     /// The point a resumed stream restarts from.
@@ -336,39 +328,40 @@ impl StreamCursor {
         let started = Instant::now();
         let (mut retries, mut injected, mut timeouts) = (0u64, 0u64, 0u64);
         let mut relaunched = false;
-        let parsed = match self
-            .parser
-            .parse_with(exec, work, !is_last, Some(&self.state))
-        {
-            // A fired CancelToken is a caller decision, not a fault: it
-            // interrupts the stream without relaunch recovery.
-            Err(ParseError::Launch(e)) if !e.is_cancelled() => {
-                // The failed run left its launch records (the exhausted
-                // attempts included) in the executor's log; this
-                // partition's report keeps their counts.
-                for r in exec.drain_log() {
-                    retries += u64::from(r.attempts.saturating_sub(1));
-                    injected += u64::from(r.injected_faults);
-                    timeouts += u64::from(r.timed_out_attempts);
+        let parsed =
+            match self
+                .parser
+                .parse_with(exec, work, !is_last, Some(&self.state), self.model)
+            {
+                // A fired CancelToken is a caller decision, not a fault: it
+                // interrupts the stream without relaunch recovery.
+                Err(ParseError::Launch(e)) if !e.is_cancelled() => {
+                    // The failed run left its launch records (the exhausted
+                    // attempts included) in the executor's log; this
+                    // partition's report keeps their counts.
+                    for r in exec.drain_log() {
+                        retries += u64::from(r.attempts.saturating_sub(1));
+                        injected += u64::from(r.injected_faults);
+                        timeouts += u64::from(r.timed_out_attempts);
+                    }
+                    // One recovery parse on a fresh spawn-per-launch executor,
+                    // which cannot inherit corrupted pool state (a poisoned
+                    // worker pool, say): the fault stays with this partition.
+                    // The cancel token still applies (recovery must stay
+                    // interruptible); the deadline and the fault injector do
+                    // not, so the partition gets one clean, unharassed run.
+                    relaunched = true;
+                    let o = self.parser.options();
+                    let grid = Grid::with_mode(o.grid.workers(), LaunchMode::SpawnPerLaunch);
+                    let mut recovery = KernelExecutor::new(grid).with_retry(o.retry);
+                    if let Some(token) = o.cancel.clone() {
+                        recovery = recovery.with_cancel(token);
+                    }
+                    self.parser
+                        .parse_with(&recovery, work, !is_last, Some(&self.state), self.model)
                 }
-                // One recovery parse on a fresh spawn-per-launch executor,
-                // which cannot inherit corrupted pool state (a poisoned
-                // worker pool, say): the fault stays with this partition.
-                // The cancel token still applies (recovery must stay
-                // interruptible); the deadline and the fault injector do
-                // not, so the partition gets one clean, unharassed run.
-                relaunched = true;
-                let o = self.parser.options();
-                let grid = Grid::with_mode(o.grid.workers(), LaunchMode::SpawnPerLaunch);
-                let mut recovery = KernelExecutor::new(grid).with_retry(o.retry);
-                if let Some(token) = o.cancel.clone() {
-                    recovery = recovery.with_cancel(token);
-                }
-                self.parser
-                    .parse_with(&recovery, work, !is_last, Some(&self.state))
-            }
-            parsed => parsed,
-        };
+                parsed => parsed,
+            };
         let Parsed {
             out,
             carry_len,
@@ -422,7 +415,6 @@ impl StreamCursor {
                 carry_bytes,
                 output_bytes: out.stats.output_bytes,
                 parse_wall,
-                parse_seconds_simulated: out.simulated.total_seconds,
                 records: out.stats.num_records,
                 retries: out.timings.retries + retries,
                 degraded_launches: out.timings.degraded_launches,
@@ -433,6 +425,7 @@ impl StreamCursor {
                 partition_size: self.state.partition_size,
             },
             table: out.table,
+            profiles: out.profiles,
             diagnostics: out.diagnostics,
             rejected: out.stats.rejected_records,
             dropped_diagnostics: out.stats.dropped_diagnostics,
@@ -606,7 +599,7 @@ mod tests {
     use super::*;
     use crate::options::ParserOptions;
     use parparaw_columnar::{DataType, Field, Value};
-    use parparaw_device::{CostModel, DeviceConfig};
+    use parparaw_device::{CostModel, DeviceConfig, PcieLink};
     use parparaw_dfa::csv::{rfc4180, CsvDialect};
     use parparaw_parallel::Grid;
 
@@ -869,7 +862,7 @@ mod tests {
     fn plan_feeds_device_simulation() {
         let input = make_input(300);
         let p = parser(None);
-        let streamed = p.parse_stream(&input, 1024).unwrap();
+        let streamed = p.model_stream(&input, 1024).unwrap();
         let model = CostModel::new(DeviceConfig::titan_x_pascal());
         let report = streamed
             .streaming_plan(PcieLink::pcie3_x16())
@@ -885,7 +878,7 @@ mod tests {
                 .iter()
                 .map(|r| r.parse_seconds_simulated)
                 .sum();
-            let ret = link.d2h_seconds(streamed.table.buffer_bytes() as u64);
+            let ret = link.d2h_seconds(streamed.partitions.iter().map(|r| r.output_bytes).sum());
             transfer + parse + ret
         };
         assert!(report.total_seconds <= sum_stages + 1e-9);

@@ -199,17 +199,11 @@ pub struct ParseOutput {
     pub stats: ParseStats,
     /// Wall-clock phase timings on this host.
     pub timings: PhaseTimings,
-    /// The measured work profiles of every kernel.
+    /// The work profile of every kernel launch, one per host launch.
+    /// Pass 1's lane count is left at zero: the modelled per-chunk count
+    /// is charged only by [`Parser::model`](crate::Parser::model), whose
+    /// profiles feed the device cost model.
     pub profiles: Vec<WorkProfile>,
-    /// The work profiles replayed through the device cost model.
-    pub simulated: SimulatedTimings,
-}
-
-impl ParseOutput {
-    /// Per-kernel explain report on the configured device model.
-    pub fn explain(&self, model: &CostModel) -> String {
-        explain_profiles(model, &self.profiles)
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Streaming ingestion: the end-to-end pipeline of paper §4.4.
 //!
 //! Parses a yelp-like input in partitions with carry-over of incomplete
-//! records, then replays the measured per-partition work through the
+//! records, then replays the modelled per-partition work through the
 //! Figure-7 schedule (double-buffered transfer/parse/return over a
 //! full-duplex PCIe link model).
 //!
@@ -47,10 +47,12 @@ fn main() {
         );
     }
 
-    // Replay through the simulated device: the overlapped schedule.
+    // Replay through the simulated device: the overlapped schedule over
+    // the same partitions, with the modelled per-chunk counters.
+    let modelled = parser.model_stream(&data, partition).expect("streams");
     let model = CostModel::new(DeviceConfig::titan_x_pascal());
     let link = PcieLink::pcie3_x16();
-    let report = streamed.streaming_plan(link.clone()).simulate(&model);
+    let report = modelled.streaming_plan(link.clone()).simulate(&model);
     println!(
         "\nsimulated end-to-end on Titan X + PCIe 3.0 x16: {:.2} ms",
         report.total_seconds * 1e3

@@ -1,8 +1,16 @@
-"""Pin fig09's simulated series: project a `BENCH_pipeline.json` report
-onto each dataset's per-chunk-size `sim_total_ms` and per-phase `sim_ms`.
+"""Pin the simulated series of a bench report: project it onto its
+simulated values alone, and compare them with a golden file.
 
     python3 results/fig09_sim.py BENCH_pipeline.json            # print the projection
     python3 results/fig09_sim.py BENCH_pipeline.json GOLDEN     # compare with GOLDEN
+
+The report's `harness` picks the projection:
+
+- fig09 (`BENCH_pipeline.json`): per dataset and chunk size,
+  `sim_total_ms` and the per-phase `sim_ms`;
+- fig11 (`BENCH_fig11.json`): per dataset and tagging mode, the same;
+- fig12 (`BENCH_fig12.json`): per dataset and partition size, the
+  partition count, `sim_e2e_ms` and every partition's `sim_parse_ms`.
 
 The comparison rounds every value to 9 significant digits (the report
 prints 6 decimals, so in practice it checks the printed values) and exits
@@ -13,16 +21,46 @@ import json
 import sys
 
 
+def phases(row):
+    return {p["name"]: p["sim_ms"] for p in row["phases"]}
+
+
 def project(report):
-    out = {"bytes": report["bytes"], "workers": report["workers"], "datasets": {}}
-    for dataset in report["datasets"]:
-        rows = {}
-        for row in dataset["rows"]:
-            rows[str(row["chunk_size"])] = {
-                "sim_total_ms": row["sim_total_ms"],
-                "phases": {p["name"]: p["sim_ms"] for p in row["phases"]},
+    out = {"bytes": report["bytes"], "workers": report["workers"]}
+    harness = report["harness"]
+    if harness == "fig09":
+        out["datasets"] = {
+            dataset["name"]: {
+                str(row["chunk_size"]): {
+                    "sim_total_ms": row["sim_total_ms"],
+                    "phases": phases(row),
+                }
+                for row in dataset["rows"]
             }
-        out["datasets"][dataset["name"]] = rows
+            for dataset in report["datasets"]
+        }
+    elif harness == "fig11":
+        modes = {}
+        for row in report["modes"]:
+            modes.setdefault(row["dataset"], {})[row["mode"]] = {
+                "sim_total_ms": row["sim_total_ms"],
+                "phases": phases(row),
+            }
+        out["modes"] = modes
+    elif harness == "fig12":
+        out["datasets"] = {
+            dataset["name"]: {
+                str(row["partition_bytes"]): {
+                    "partitions": row["partitions"],
+                    "sim_e2e_ms": row["sim_e2e_ms"],
+                    "sim_parse_ms": {str(i): v for i, v in enumerate(row["sim_parse_ms"])},
+                }
+                for row in dataset["rows"]
+            }
+            for dataset in report["datasets"]
+        }
+    else:
+        raise SystemExit(f"no simulated series to pin in harness {harness!r}")
     return out
 
 

@@ -267,7 +267,7 @@ fn main() -> ExitCode {
     let parser = Parser::new(dfa, options);
 
     let t0 = std::time::Instant::now();
-    let (table, stats_line, sim_line) = if let Some(psize) = args.stream {
+    let (table, stats_line) = if let Some(psize) = args.stream {
         match parser.parse_stream(bytes, psize) {
             Ok(s) => {
                 let line = format!(
@@ -276,7 +276,7 @@ fn main() -> ExitCode {
                     s.partitions.len(),
                     s.rejected_records
                 );
-                (s.table, line, String::new())
+                (s.table, line)
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -298,19 +298,7 @@ fn main() -> ExitCode {
                         ", input INVALID for format"
                     }
                 );
-                let mut sim = format!(
-                    "simulated Titan X: {:.3} ms ({:.2} GB/s)",
-                    o.simulated.total_seconds * 1e3,
-                    o.simulated.rate_gbps
-                );
-                if args.stats {
-                    let model = parparaw::device::CostModel::new(
-                        parparaw::device::DeviceConfig::titan_x_pascal(),
-                    );
-                    sim.push('\n');
-                    sim.push_str(&o.explain(&model));
-                }
-                (o.table, line, sim)
+                (o.table, line)
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -319,6 +307,29 @@ fn main() -> ExitCode {
         }
     };
     let wall = t0.elapsed();
+    // The simulated-device figures come from the model, which re-runs the
+    // pipeline with the modelled counters; only `--stats` pays for it,
+    // after the wall time is taken.
+    let sim_line = match (args.stats, args.stream) {
+        (true, None) => match parser.model(bytes) {
+            Ok(m) => {
+                let model = parparaw::device::CostModel::new(
+                    parparaw::device::DeviceConfig::titan_x_pascal(),
+                );
+                format!(
+                    "simulated Titan X: {:.3} ms ({:.2} GB/s)\n{}",
+                    m.simulated.total_seconds * 1e3,
+                    m.simulated.rate_gbps,
+                    m.explain(&model)
+                )
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::from(1);
+            }
+        },
+        _ => String::new(),
+    };
 
     match args.out.as_str() {
         "summary" => {

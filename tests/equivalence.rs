@@ -177,3 +177,71 @@ fn worked_example_from_the_paper_end_to_end() {
         Value::Utf8("Frame\n\"Ribba\", black".into())
     );
 }
+
+#[test]
+fn every_entry_point_matches_sequential_across_workers() {
+    // Pass 1 splits its walk by worker count, so every entry point must
+    // give the sequential parser's bytes on 1, 2, 3 and 8 workers and
+    // across chunk sizes: parse, parse_stream, a resumed
+    // parse_stream_resumable, and the partitions() iterator.
+    use parparaw::columnar::ipc;
+    use parparaw::workloads::yelp;
+    let input = yelp::generate(24_000, 5);
+    let opts = |workers: usize, cs: usize| {
+        ParserOptions {
+            grid: Grid::new(workers),
+            schema: Some(yelp::schema()),
+            ..ParserOptions::default()
+        }
+        .chunk_size(cs)
+    };
+    let dfa = rfc4180(&CsvDialect::default());
+    let want = ipc::write_table(
+        &SequentialParser::new(dfa.clone(), opts(1, 31))
+            .parse(&input)
+            .unwrap()
+            .table,
+    );
+    for workers in [1usize, 2, 3, 8] {
+        for cs in [1usize, 7, 31, 130] {
+            let at = format!("workers {workers} cs {cs}");
+            let p = Parser::new(dfa.clone(), opts(workers, cs));
+            assert_eq!(
+                ipc::write_table(&p.parse(&input).unwrap().table),
+                want,
+                "{at}"
+            );
+            let streamed = p.parse_stream(&input, 4096).unwrap();
+            assert_eq!(ipc::write_table(&streamed.table), want, "stream, {at}");
+            let batches: Vec<Table> = p
+                .partitions(&input, 4096)
+                .collect::<Result<_, _>>()
+                .unwrap();
+            let refs: Vec<&Table> = batches.iter().filter(|t| t.num_rows() > 0).collect();
+            assert_eq!(
+                ipc::write_table(&Table::concat(&refs).unwrap()),
+                want,
+                "iter, {at}"
+            );
+
+            let mut o = opts(workers, cs);
+            o.cancel = Some(CancelToken::after_launches(60));
+            let interrupted = Parser::new(dfa.clone(), o)
+                .parse_stream_resumable(&input, 4096, None)
+                .unwrap_err();
+            assert!(interrupted.error.is_cancelled(), "{at}");
+            let resumed = p
+                .parse_stream_resumable(&input, 4096, Some(interrupted.checkpoint))
+                .unwrap();
+            let parts: Vec<&Table> = [&interrupted.completed.table, &resumed.table]
+                .into_iter()
+                .filter(|t| t.num_rows() > 0)
+                .collect();
+            assert_eq!(
+                ipc::write_table(&Table::concat(&parts).unwrap()),
+                want,
+                "resume, {at}"
+            );
+        }
+    }
+}

@@ -7,8 +7,13 @@
 //! reference simulation. This suite pins that with randomly generated
 //! automata and byte soups, not just the CSV machine the unit tests use.
 
-use parparaw::core::context::{determine_contexts, determine_contexts_fast};
-use parparaw::core::meta::{identify_columns_and_records, ColOffset, ColOffsetOp, MetaPass};
+use parparaw::core::chunks::num_chunks;
+use parparaw::core::context::{
+    determine_contexts, determine_contexts_fast, pass1_pieces, range_start_states,
+};
+use parparaw::core::meta::{
+    identify_columns_and_records, identify_ranges, ColOffset, ColOffsetOp, MetaPass,
+};
 use parparaw::core::options::ScanAlgorithm;
 use parparaw::dfa::csv::{rfc4180, CsvDialect};
 use parparaw::dfa::log::extended_log;
@@ -407,9 +412,12 @@ fn worker_range_walks_match_per_chunk_reference() {
         }
     }
     let mut never_collapsed = 0;
+    // The pipeline's pass 1 is checked against the reference too; these
+    // count the piece layouts the matrix must reach.
+    let (mut fewer_chunks, mut start_in_single, mut start_on_boundary) = (0, 0, 0);
     for (name, dfa) in &machines {
         let pair = PairTable::build(dfa);
-        for len in [0usize, 5, 700] {
+        for len in [0usize, 5, 30, 700] {
             let input = soup_for(dfa, &mut rng, len);
             for cs in [1usize, 7, 31, 130] {
                 for workers in [1usize, 2, 3, 8] {
@@ -452,6 +460,47 @@ fn worker_range_walks_match_per_chunk_reference() {
                             meta.observed_columns_closed, want.observed_columns_closed,
                             "{at}"
                         );
+
+                        // The pipeline's pass 1 resolves each range's start
+                        // state, walking only up to the last range's start,
+                        // and pass 2 ends in the reference's final state.
+                        let n_chunks = num_chunks(len, cs);
+                        let ranges = exec.grid().partition(n_chunks);
+                        let last = ranges.last().map_or(0, |r| r.start);
+                        let pieces = pass1_pieces(last, workers);
+                        assert_eq!(pieces.last().map_or(0, |p| p.end), last, "{at}");
+                        assert!(pieces.len() <= workers, "{at}");
+                        let inner: Vec<usize> = ranges[1..].iter().map(|r| r.start).collect();
+                        fewer_chunks += usize::from(n_chunks > 0 && n_chunks < workers);
+                        start_in_single += usize::from(
+                            workers >= 3 && pieces.first().is_some_and(|p| p.end > inner[0]),
+                        );
+                        start_on_boundary += usize::from(
+                            pieces[1.min(pieces.len())..]
+                                .iter()
+                                .any(|p| inner[..inner.len() - 1].contains(&p.start)),
+                        );
+                        for algorithm in [ScanAlgorithm::Blocked, ScanAlgorithm::DecoupledLookback]
+                        {
+                            let starts = range_start_states(
+                                &exec, dfa, &input, cs, &ranges, algorithm, pair,
+                            )
+                            .expect("pass 1 runs");
+                            let want_starts: Vec<u8> = ranges
+                                .iter()
+                                .map(|r| {
+                                    want.start_states
+                                        .get(r.start)
+                                        .copied()
+                                        .unwrap_or(dfa.start_state())
+                                })
+                                .collect();
+                            assert_eq!(starts, want_starts, "range starts {algorithm:?}, {at}");
+                            let meta = identify_ranges(&exec, dfa, &input, cs, &ranges, &starts)
+                                .expect("pass 2 runs");
+                            assert_eq!(meta.final_state, want.final_state, "{at}");
+                            assert_range_starts(&meta, &want, workers, &at);
+                        }
                     }
                 }
             }
@@ -464,4 +513,10 @@ fn worker_range_walks_match_per_chunk_reference() {
         }
     }
     assert!(never_collapsed > 0);
+    assert!(fewer_chunks > 0, "fewer chunks than workers");
+    assert!(
+        start_in_single > 0,
+        "a range start inside the single-lane piece"
+    );
+    assert!(start_on_boundary > 0, "a range start on a piece boundary");
 }

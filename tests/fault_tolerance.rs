@@ -442,3 +442,95 @@ fn strict_policy_streams() {
         .unwrap_err();
     assert!(matches!(err, ParseError::MalformedRecord(_)));
 }
+
+/// The first launch of a parse on `input` under `o`, as a launch error.
+fn first_launch_error(o: ParserOptions, input: &[u8]) -> parparaw::parallel::LaunchError {
+    match Parser::new(rfc4180(&CsvDialect::default()), o).parse(input) {
+        Err(ParseError::Launch(e)) => e,
+        Err(other) => panic!("expected a launch error, got {other}"),
+        Ok(_) => panic!("the parse was not interrupted"),
+    }
+}
+
+#[test]
+fn pass1_walk_stops_at_a_stalled_deadline() {
+    use std::time::Duration;
+    // Every launch stalls past the deadline before its job runs, so the
+    // watchdog has expired the attempt by the time pass 1 walks: both of
+    // its pieces on 2 workers poll at their chunks and unwind, and with
+    // one attempt the parse fails in pass 1 itself.
+    let input = make_input(2000);
+    let mut o = ParserOptions {
+        grid: Grid::new(2),
+        ..ParserOptions::default()
+    }
+    .retry(RetryPolicy::attempts(1))
+    .launch_deadline(Duration::from_millis(5));
+    o.fault_injection = Some(FaultInjection::stalls(7, 1.0, Duration::from_millis(40)));
+    let e = first_launch_error(o, &input);
+    assert!(e.is_timeout(), "expected a timeout, got {e}");
+    assert_eq!(e.label, "parse/pass1");
+}
+
+#[test]
+fn pass1_walk_stops_at_a_cancel() {
+    use std::time::Duration;
+    // The token fires while pass 1's launch is stalled, after the launch
+    // checked it: only the walk's own polls can stop it.
+    let input = make_input(2000);
+    let token = CancelToken::new();
+    let mut o = ParserOptions {
+        grid: Grid::new(2),
+        ..ParserOptions::default()
+    };
+    o.cancel = Some(token.clone());
+    o.fault_injection = Some(FaultInjection::stalls(7, 1.0, Duration::from_millis(300)));
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(30));
+        token.cancel();
+    });
+    let e = first_launch_error(o, &input);
+    canceller.join().unwrap();
+    assert!(e.is_cancelled(), "expected a cancel, got {e}");
+    assert_eq!(e.label, "parse/pass1");
+}
+
+#[test]
+fn stream_cancelled_at_pass1_resumes_byte_identical() {
+    // Cancel the stream at each pass-1 launch in turn (after at least one
+    // partition): the completed prefix plus the resumed rest must equal
+    // the uninterrupted stream.
+    let input = make_input(400);
+    let dfa = rfc4180(&CsvDialect::default());
+    let clean_o = ParserOptions {
+        grid: Grid::new(2),
+        ..ParserOptions::default()
+    };
+    let p = Parser::new(dfa.clone(), clean_o.clone());
+    let clean = p.parse_stream(&input, 512).unwrap();
+    let mut at_pass1 = 0;
+    for nth in 1..=120u64 {
+        let mut o = clean_o.clone();
+        o.cancel = Some(CancelToken::after_launches(nth));
+        let Err(interrupted) =
+            Parser::new(dfa.clone(), o).parse_stream_resumable(&input, 512, None)
+        else {
+            break; // the stream finished before the nth launch
+        };
+        let in_pass1 =
+            matches!(&interrupted.error, ParseError::Launch(e) if e.label == "parse/pass1");
+        if !in_pass1 || interrupted.completed.partitions.is_empty() {
+            continue;
+        }
+        at_pass1 += 1;
+        let resumed = p
+            .parse_stream_resumable(&input, 512, Some(interrupted.checkpoint))
+            .unwrap();
+        let parts: Vec<&Table> = [&interrupted.completed.table, &resumed.table]
+            .into_iter()
+            .filter(|t| t.num_rows() > 0)
+            .collect();
+        assert_eq!(Table::concat(&parts).unwrap(), clean.table, "nth={nth}");
+    }
+    assert!(at_pass1 >= 2, "only {at_pass1} cancels landed in pass 1");
+}
