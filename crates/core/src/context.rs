@@ -31,14 +31,15 @@
 //!   the ≤ `workers` piece vectors and resolves each range start from its
 //!   piece's prefix.
 //!
-//! The chunk (`chunk_size`, 31 B by default) stays the modelled unit:
-//! every piece polls for aborts once per chunk, and the launches charge
-//! the paper's per-chunk traffic. The per-chunk lane count the paper's
-//! kernel ([`Dfa::transition_vector_fast`]) executes,
-//! [`Dfa::fast_lane_ops`] summed over every chunk, is not computed on the
-//! parse path; [`Parser::model`](crate::Parser::model) charges it to
-//! `parse/pass1` on request. [`determine_contexts_fast`] keeps the
-//! per-chunk start states as the test and bench reference.
+//! The chunk (`chunk_size`, 31 B by default) stays the unit of abort
+//! polling: every piece polls once per chunk. The launches charge the
+//! paper's per-chunk traffic but no lane count. [`determine_contexts_fast`]
+//! is the paper's per-chunk kernel: it resolves every chunk's start state
+//! and charges `parse/pass1` the lane count of
+//! [`Dfa::transition_vector_fast`], [`Dfa::fast_lane_ops`] summed over
+//! every chunk. It is the test and bench reference, and the pass 1 that
+//! [`Parser::model`](crate::Parser::model) runs before walking one pass-2
+//! range per chunk (see [`crate::model`]).
 //!
 //! Both kernels run as instrumented [`KernelExecutor`] launches
 //! (`parse/pass1` and `scan/context`); wall time and work counters land in
@@ -92,8 +93,8 @@ struct RangeWalk<'d> {
 /// bytes at a time through a precomposed [`PairTable`]. It walks one
 /// [`LaneWalk`] per worker range, records the walk's image at every chunk
 /// start, and charges `parse/pass1` the per-chunk kernel's lane count.
-/// Tests and benches compare against it; the pipeline runs
-/// [`range_start_states`].
+/// Tests and benches compare against it and the model runs it; a parse
+/// runs [`range_start_states`].
 pub fn determine_contexts_fast(
     exec: &KernelExecutor,
     dfa: &Dfa,
@@ -315,22 +316,6 @@ pub fn range_start_states(
     algorithm: ScanAlgorithm,
     pair: Option<&PairTable>,
 ) -> Result<Vec<u8>, LaunchError> {
-    resolve_range_starts(exec, dfa, input, chunk_size, ranges, algorithm, pair, false)
-}
-
-/// [`range_start_states`], charging `parse/pass1` the per-chunk kernel's
-/// lane count when `per_chunk_ops` is set (the model's switch).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn resolve_range_starts(
-    exec: &KernelExecutor,
-    dfa: &Dfa,
-    input: &[u8],
-    chunk_size: usize,
-    ranges: &[Range<usize>],
-    algorithm: ScanAlgorithm,
-    pair: Option<&PairTable>,
-    per_chunk_ops: bool,
-) -> Result<Vec<u8>, LaunchError> {
     let n = input.len();
     let cs = chunk_size.max(1);
     let n_chunks = num_chunks(n, cs);
@@ -356,7 +341,7 @@ pub(crate) fn resolve_range_starts(
     };
 
     // Kernel 1: one walk per piece. The counters charge the per-chunk
-    // kernel's traffic; its lane count only when modelling.
+    // kernel's traffic, not its lane count.
     let walks = exec.launch("parse/pass1", n_chunks, |grid, counters| {
         counters.bytes_read = n as u64;
         counters.bytes_written = (n_chunks * 8) as u64;
@@ -375,9 +360,6 @@ pub(crate) fn resolve_range_starts(
                     unsafe { walk_w.write(k, Some(piece)) };
                 }
             });
-        }
-        if per_chunk_ops {
-            counters.parallel_ops = per_chunk_lane_ops(grid, dfa, input, cs, pair.is_some());
         }
         walks.into_iter().flatten().collect::<Vec<Piece>>()
     })?;
@@ -438,27 +420,6 @@ fn scan_vectors(
             (scanned, total)
         }
     }
-}
-
-/// Σ [`Dfa::fast_lane_ops`] over every chunk of `input`: the lane count
-/// of the paper's per-chunk pass-1 kernel, which the model charges.
-fn per_chunk_lane_ops(grid: &Grid, dfa: &Dfa, input: &[u8], cs: usize, pair: bool) -> u64 {
-    let n = input.len();
-    let n_chunks = num_chunks(n, cs);
-    let mut ops = vec![0u64; grid.partition(n_chunks).len()];
-    {
-        let ops_w = SlotWriter::new(&mut ops);
-        grid.run_partitioned(n_chunks, |w, chunks| {
-            let mut sum = 0;
-            for c in chunks {
-                grid.check_abort(c);
-                sum += dfa.fast_lane_ops(&input[c * cs..((c + 1) * cs).min(n)], pair);
-            }
-            // SAFETY: one slot per worker range, written by its worker.
-            unsafe { ops_w.write(w, sum) };
-        });
-    }
-    ops.iter().sum()
 }
 
 impl ContextPass {

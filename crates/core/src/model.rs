@@ -1,14 +1,19 @@
 //! The device cost model's view of a parse, computed on request.
 //!
-//! A parse records one work profile per host launch, but it no longer
-//! computes what only the cost model reads: pass 1 walks the input once
-//! per worker piece (see [`crate::context`]) and does not count the lane
-//! operations of the paper's per-chunk kernel. [`Parser::model`] and
+//! A parse records one work profile per host launch, but it walks the
+//! host's grid: pass 1 walks the input once per worker piece (see
+//! [`crate::context`]) without counting lane operations, and pass 2 and
+//! tagging walk one range of chunks per worker. [`Parser::model`] and
 //! [`Parser::model_stream`] run the same pipeline as [`Parser::parse`] and
-//! [`Parser::parse_stream`] with one switch set: `parse/pass1` also
-//! charges [`Dfa::fast_lane_ops`](parparaw_dfa::Dfa::fast_lane_ops) summed
-//! over every chunk. Every other counter is the one a parse records.
-//! Replayed through the configured device
+//! [`Parser::parse_stream`] on the paper's grid instead, where every 31 B
+//! chunk is one thread (§3.1–3.2). Pass 1 is the per-chunk kernel
+//! [`determine_contexts_fast`](crate::context::determine_contexts_fast),
+//! which charges [`Dfa::fast_lane_ops`](parparaw_dfa::Dfa::fast_lane_ops)
+//! summed over every chunk. Pass 2 walks one range per chunk, so tagging
+//! emits the per-chunk field runs, and the `tag`, `partition` and
+//! `convert/index` counters charge them. The kernels themselves know
+//! nothing of the model: the choice of pass 1 and of the pass-2 ranges is
+//! the only switch. Replayed through the configured device
 //! ([`ParserOptions::device`](crate::ParserOptions::device)), these
 //! profiles give the paper-reproduction series of Figs 9–13; they are not
 //! a measurement of this host.
@@ -78,8 +83,8 @@ impl StreamModel {
 }
 
 impl Parser {
-    /// Run [`Parser::parse`]'s pipeline on `input` with the modelled
-    /// counters on, and return the modelled work instead of the table.
+    /// Run [`Parser::parse`]'s pipeline on `input` on the paper's
+    /// per-chunk grid, and return the modelled work instead of the table.
     pub fn model(&self, input: &[u8]) -> Result<ParseModel, ParseError> {
         let exec = self.options().build_executor();
         let out = self.parse_with(&exec, input, false, None, true)?.out;
@@ -92,8 +97,8 @@ impl Parser {
         })
     }
 
-    /// Run [`Parser::parse_stream`]'s cursor on `input` with the modelled
-    /// counters on, and return each partition's modelled work.
+    /// Run [`Parser::parse_stream`]'s cursor on `input` on the paper's
+    /// per-chunk grid, and return each partition's modelled work.
     pub fn model_stream(
         &self,
         input: &[u8],
@@ -126,10 +131,12 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::context::determine_contexts_fast;
-    use crate::meta::identify_columns_and_records;
+    use crate::meta::identify_ranges;
     use crate::options::ParserOptions;
+    use crate::partition::partition_by_column_with;
+    use crate::tagging::{tag_symbols, TagConfig, RUN_BYTES};
     use parparaw_dfa::csv::{rfc4180, CsvDialect};
-    use parparaw_parallel::{Grid, KernelExecutor};
+    use parparaw_parallel::{grid, Grid, KernelExecutor};
 
     fn input() -> Vec<u8> {
         (0..400)
@@ -140,8 +147,10 @@ mod tests {
     #[test]
     fn model_charges_the_per_chunk_reference_counters() {
         // The model's pass-1 and pass-2 profiles are the per-chunk
-        // reference kernels' launch records, counter for counter; the
-        // parse's differ only in pass 1's lane count.
+        // reference kernels' launch records, counter for counter. Its
+        // `tag`, `partition` and `convert/index` profiles charge the runs
+        // tagging emits over one-chunk pass-2 ranges; every other profile
+        // is the parse's.
         let dfa = rfc4180(&CsvDialect::default());
         let input = input();
         for workers in [1usize, 2, 3] {
@@ -155,11 +164,28 @@ mod tests {
                 let model = parser.model(&input).unwrap();
                 let parsed = parser.parse(&input).unwrap();
 
+                // The reference: the per-chunk pass 1, pass 2 over
+                // one-chunk ranges, and tagging and partition over those.
                 let exec = KernelExecutor::new(Grid::new(workers));
                 let ctx =
                     determine_contexts_fast(&exec, &dfa, &input, cs, opts.scan_algorithm, None)
                         .unwrap();
-                identify_columns_and_records(&exec, &dfa, &input, cs, &ctx.start_states).unwrap();
+                let n_chunks = ctx.start_states.len();
+                let ranges = grid::partition(n_chunks, n_chunks);
+                let meta =
+                    identify_ranges(&exec, &dfa, &input, cs, &ranges, &ctx.start_states).unwrap();
+                let col_map = [Some(0), Some(1), Some(2)];
+                let cfg = TagConfig {
+                    mode: opts.tagging,
+                    col_map: &col_map,
+                    skip_records: &[],
+                    expected_columns: None,
+                    num_out_rows: meta.num_records,
+                    diags: None,
+                };
+                let tagged = tag_symbols(&exec, &input, cs, &meta, &cfg).unwrap();
+                let part =
+                    partition_by_column_with(&exec, tagged, 3, opts.partition_kernel).unwrap();
                 let reference: Vec<WorkProfile> = exec
                     .drain_log()
                     .iter()
@@ -172,13 +198,29 @@ mod tests {
                     let got = model.profiles.iter().find(|p| p.label == want.label);
                     assert_eq!(got, Some(want), "{at}");
                 }
+                let index: Vec<&WorkProfile> = model
+                    .profiles
+                    .iter()
+                    .filter(|p| p.label == "convert/index")
+                    .collect();
+                assert_eq!(index.len(), 3, "{at}");
+                for (c, p) in index.iter().enumerate() {
+                    let runs = part.col_runs(c).unwrap().len() as u64;
+                    assert_eq!(p.parallel_ops, runs, "{at} column {c}");
+                    assert_eq!(p.bytes_read, runs * RUN_BYTES, "{at} column {c}");
+                }
                 for (m, p) in model.profiles.iter().zip(&parsed.profiles) {
                     assert_eq!(m.label, p.label, "{at}");
-                    if m.label == "parse/pass1" {
-                        assert_eq!(p.parallel_ops, 0, "{at}");
-                        assert!(m.parallel_ops > 0, "{at}");
-                    } else {
-                        assert_eq!(m, p, "{at}");
+                    match m.label.as_str() {
+                        "parse/pass1" => {
+                            assert_eq!(p.parallel_ops, 0, "{at}");
+                            assert!(m.parallel_ops > 0, "{at}");
+                        }
+                        // Chunk cuts split fields into more runs than the
+                        // parse's worker ranges do.
+                        "tag" => assert!(m.bytes_written > p.bytes_written, "{at}"),
+                        "partition" | "convert/index" => {}
+                        _ => assert_eq!(m, p, "{at}"),
                     }
                 }
                 let cost = CostModel::new(opts.device.clone());

@@ -19,6 +19,10 @@
 //! worker-minor)* scan ordering the radix scatter uses: worker `w`'s runs
 //! of column `c` land directly after worker `w-1`'s runs of the same
 //! column, so fields keep their input order within each column.
+//!
+//! The run scatter charges the runs it is handed: the host's per-range
+//! runs on a parse, the paper's per-chunk runs when the cost model
+//! ([`crate::model`]) walks one pass-2 range per chunk.
 
 use crate::options::{PartitionKernel, TaggingMode};
 use crate::tagging::{FieldRun, Tagged, RUN_BYTES};
@@ -51,9 +55,6 @@ pub struct Partitioned {
     /// Column-grouped field runs, the CSS index's input. Both kernels
     /// emit them, so this is always `Some`.
     pub runs: Option<ColumnRuns>,
-    /// [`Tagged::col_chunk_runs`] carried through, one entry per column:
-    /// what the `convert/index` counters charge.
-    pub col_chunk_runs: Vec<u64>,
 }
 
 /// Partition the tagged symbols into per-column CSSs as one instrumented
@@ -84,13 +85,12 @@ pub fn partition_by_column_with(
 /// before it, which its histogram already counts.
 fn partition_run_scatter(
     exec: &KernelExecutor,
-    mut tagged: Tagged,
+    tagged: Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
     let num_runs = tagged.runs.len();
-    let col_chunk_runs = take_col_chunk_runs(&mut tagged, num_columns);
 
     // `launch_once` because the scatter consumes the tagged buffers;
     // injected faults (which fire before the job body runs) still retry.
@@ -189,11 +189,10 @@ fn partition_run_scatter(
         // Work counters model the paper's kernel, not this code: per
         // symbol the CSS byte both ways plus the record tag (tagged mode)
         // or delimiter flag (vector mode) — the mode traffic Figure 11
-        // ranks; per run of a per-chunk tag kernel
-        // (`Tagged::col_chunk_runs`) the run metadata through the
-        // histogram and scatter passes. The scans are serial.
-        let chunk_runs: u64 = col_chunk_runs.iter().sum();
-        let model_workers = grid.workers().min((chunk_runs as usize).max(1));
+        // ranks; per run the run metadata through the histogram and
+        // scatter passes. The scans are serial.
+        let runs = num_runs as u64;
+        let model_workers = grid.workers().min(num_runs.max(1));
         let per_symbol: u64 = 1 + match tagged.mode {
             TaggingMode::RecordTagged => 4,
             TaggingMode::InlineTerminated { .. } => 0,
@@ -201,9 +200,9 @@ fn partition_run_scatter(
         };
         let scan_cells = (model_workers * num_columns) as u64 * 2 + (num_columns + 1) as u64 * 2;
         counters.kernel_launches = 2; // histogram + scatter
-        counters.bytes_read = n as u64 * per_symbol + 2 * chunk_runs * RUN_BYTES;
-        counters.bytes_written = n as u64 * per_symbol + chunk_runs * RUN_BYTES + scan_cells * 8;
-        counters.parallel_ops = 2 * chunk_runs + n as u64;
+        counters.bytes_read = n as u64 * per_symbol + 2 * runs * RUN_BYTES;
+        counters.bytes_written = n as u64 * per_symbol + runs * RUN_BYTES + scan_cells * 8;
+        counters.parallel_ops = 2 * runs + n as u64;
         counters.serial_ops = scan_cells;
 
         return_tag_buffers(arena, tagged);
@@ -215,7 +214,6 @@ fn partition_run_scatter(
                 runs: out_runs,
                 col_starts: col_run_starts,
             }),
-            col_chunk_runs,
         }
     })
 }
@@ -226,12 +224,11 @@ fn partition_run_scatter(
 /// runs are the input runs stably ordered by column.
 fn partition_radix_sort(
     exec: &KernelExecutor,
-    mut tagged: Tagged,
+    tagged: Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
-    let col_chunk_runs = take_col_chunk_runs(&mut tagged, num_columns);
     let max_key = (num_columns - 1) as u32;
     let digit_bits = 8u32;
     let passes = (32 - max_key.leading_zeros()).div_ceil(digit_bits).max(1);
@@ -315,17 +312,8 @@ fn partition_radix_sort(
                 runs: out_runs,
                 col_starts: col_run_starts,
             }),
-            col_chunk_runs,
         }
     })
-}
-
-/// Move the tag walk's per-column chunk-run counts out of `tagged`, one
-/// entry per partitioned column.
-fn take_col_chunk_runs(tagged: &mut Tagged, num_columns: usize) -> Vec<u64> {
-    let mut counts = std::mem::take(&mut tagged.col_chunk_runs);
-    counts.resize(num_columns, 0);
-    counts
 }
 
 /// Hand the consumed tag buffers back to the arena for the next `tag`
@@ -519,10 +507,8 @@ mod tests {
         for mode in modes {
             for kernel in [PartitionKernel::RunScatter, PartitionKernel::RadixSort] {
                 let (exec, t) = tag(input.as_bytes(), mode, 3);
-                let chunk_runs = t.col_chunk_runs.clone();
                 let p = partition_by_column_with(&exec, t, 3, kernel).unwrap();
                 let at = format!("{} {kernel:?}", mode.name());
-                assert_eq!(p.col_chunk_runs, chunk_runs, "{at}");
                 for c in 0..3 {
                     let runs = p.col_runs(c).unwrap();
                     assert!(runs.iter().all(|r| r.col as usize == c), "{at}");

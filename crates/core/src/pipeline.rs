@@ -23,7 +23,7 @@
 //!
 //! [`KernelExecutor`]: parparaw_parallel::KernelExecutor
 
-use crate::context::resolve_range_starts;
+use crate::context::{determine_contexts_fast, range_start_states};
 use crate::convert::convert_column_with_diags;
 use crate::css::{index_from_runs, FieldIndex};
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
@@ -39,7 +39,7 @@ use parparaw_columnar::{DataType, Field, Schema, Table};
 use parparaw_device::WorkProfile;
 use parparaw_dfa::csv::{rfc4180, CsvDialect};
 use parparaw_dfa::{Dfa, PairTable};
-use parparaw_parallel::{Bitmap, KernelExecutor};
+use parparaw_parallel::{grid, Bitmap, KernelExecutor};
 
 /// A configured ParPaRaw parser: a DFA (the format) plus options.
 #[derive(Debug, Clone)]
@@ -82,9 +82,9 @@ impl Parser {
     /// With `drop_trailing`, the record not closed by a record delimiter
     /// is left for the next partition. `stream` is where the stream stood
     /// before `input` (its header already split off): `skip_records` and
-    /// diagnostics then count from the stream start. With `model`,
-    /// `parse/pass1` also charges the per-chunk lane count the device cost
-    /// model reads (see [`crate::model`]).
+    /// diagnostics then count from the stream start. With `model`, the
+    /// run takes the paper's per-chunk grid: the per-chunk pass 1 and one
+    /// pass-2 range per chunk (see [`crate::model`]).
     pub(crate) fn parse_with(
         &self,
         exec: &KernelExecutor,
@@ -133,19 +133,37 @@ impl Parser {
 
         // Phases 1+2: the start state of each pass-2 range, then the
         // bitmaps and metadata (which end in the input's final state).
-        let ranges = exec
-            .grid()
-            .partition(crate::chunks::num_chunks(input.len(), cs));
-        let starts = resolve_range_starts(
-            exec,
-            &self.dfa,
-            input,
-            cs,
-            &ranges,
-            o.scan_algorithm,
-            self.pair.as_ref(),
-            model,
-        )?;
+        // The model runs the paper's grid: the per-chunk pass 1, then one
+        // pass-2 range per chunk, so every later launch charges the
+        // per-chunk runs.
+        let n_chunks = crate::chunks::num_chunks(input.len(), cs);
+        let (ranges, starts) = if model {
+            let ctx = determine_contexts_fast(
+                exec,
+                &self.dfa,
+                input,
+                cs,
+                o.scan_algorithm,
+                self.pair.as_ref(),
+            )?;
+            let mut starts = ctx.start_states;
+            if starts.is_empty() {
+                starts.push(self.dfa.start_state()); // the `0..0` range
+            }
+            (grid::partition(n_chunks, n_chunks), starts)
+        } else {
+            let ranges = exec.grid().partition(n_chunks);
+            let starts = range_start_states(
+                exec,
+                &self.dfa,
+                input,
+                cs,
+                &ranges,
+                o.scan_algorithm,
+                self.pair.as_ref(),
+            )?;
+            (ranges, starts)
+        };
         let meta = identify_ranges(exec, &self.dfa, input, cs, &ranges, &starts)?;
         let input_valid = self.dfa.is_accepting(meta.final_state);
 
@@ -315,14 +333,12 @@ impl Parser {
                 .expect("both partition kernels emit runs");
             // The partition kernels hand us the column's field runs, so the
             // index falls out of a merge over run metadata — no per-byte
-            // scan over the CSS at all. The counters charge the runs a
-            // per-chunk tag kernel would have emitted.
-            let chunk_runs = part.col_chunk_runs[out_c];
+            // scan over the CSS at all.
             let index: FieldIndex = exec.launch("convert/index", css.len(), |_, counters| {
                 let index = index_from_runs(runs);
                 counters.kernel_launches = 1;
-                counters.bytes_read = chunk_runs * crate::tagging::RUN_BYTES;
-                counters.parallel_ops = chunk_runs;
+                counters.bytes_read = runs.len() as u64 * crate::tagging::RUN_BYTES;
+                counters.parallel_ops = runs.len() as u64;
                 counters.bytes_written = index.num_fields() as u64 * 20;
                 index
             })?;

@@ -17,8 +17,8 @@
 //! thread; they differ only in whether the batches are collected or
 //! yielded.
 //!
-//! [`Parser::model_stream`] runs the same cursor with the modelled
-//! counters on, so the simulated device can replay the Fig. 7
+//! [`Parser::model_stream`] runs the same cursor on the paper's per-chunk
+//! grid (see [`crate::model`]), so the simulated device can replay the Fig. 7
 //! transfer/parse/return overlap over the PCIe link model
 //! ([`StreamModel::streaming_plan`](crate::StreamModel::streaming_plan)).
 
@@ -234,7 +234,7 @@ pub(crate) struct StreamCursor {
     floor: usize,
     /// Arena pressure events seen so far.
     last_pressure: u64,
-    /// Whether partitions charge the modelled counters (see
+    /// Whether partitions run on the paper's per-chunk grid (see
     /// [`crate::model`]).
     model: bool,
 }
@@ -270,7 +270,7 @@ impl StreamCursor {
         }
     }
 
-    /// The same cursor, charging the modelled counters.
+    /// The same cursor, on the paper's per-chunk grid.
     pub(crate) fn modelled(mut self) -> Self {
         self.model = true;
         self

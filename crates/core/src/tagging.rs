@@ -24,10 +24,13 @@
 //! walks follow pass 2's worker ranges ([`MetaPass::ranges`]): each range
 //! is walked whole from its resolved record and column, so a field is
 //! split into several runs only where a range ends, and the output does
-//! not depend on the grid tagging runs on. The emission is allocation-free
-//! and parallel: a counting walk per range, an exclusive prefix sum over
-//! the counts, then a second walk writing straight into the arena buffers
-//! — the standard GPU compaction shape.
+//! not depend on the grid tagging runs on. The cost model
+//! ([`crate::model`]) hands pass 2 one range per chunk, so there the same
+//! walk emits the paper's per-chunk runs, and the counters charge them.
+//! The emission is allocation-free and parallel: a counting walk per
+//! range, an exclusive prefix sum over the counts, then a second walk
+//! writing straight into the arena buffers — the standard GPU compaction
+//! shape.
 
 use crate::chunks::num_chunks;
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
@@ -135,11 +138,6 @@ pub struct Tagged {
     /// Per-field runs tiling `symbols`, in input order — the field-granular
     /// metadata the partition kernels and the CSS index work from.
     pub runs: Vec<FieldRun>,
-    /// Per output column, the runs the paper's one-thread-per-chunk kernel
-    /// would emit for that column's fields: each field piece counts the
-    /// chunks its symbols fall in. The cost model charges run traffic by
-    /// these, not by this walk's runs.
-    pub col_chunk_runs: Vec<u64>,
     /// Per-output-row rejection flags.
     pub rejected: Bitmap,
     /// True when inline mode found the terminator byte inside field data.
@@ -162,14 +160,13 @@ pub fn tag_symbols(
     let n = input.len();
     let cs = chunk_size.max(1);
     let n_chunks = num_chunks(n, cs);
-    let num_out_cols = num_out_cols(cfg.col_map);
     let rejected = AtomicBitmap::new(cfg.num_out_rows as usize);
     let clash = AtomicBool::new(false);
 
     let ranges = &meta.ranges;
-    let (symbols, runs, col_chunk_runs) = exec.launch("tag", n_chunks, |grid, counters| {
-        // Walk A: count each pass-2 range's symbols, runs and modelled
-        // chunk-runs, marking rejects and terminator clashes once.
+    let (symbols, runs) = exec.launch("tag", n_chunks, |grid, counters| {
+        // Walk A: count each pass-2 range's symbols and runs, marking
+        // rejects and terminator clashes once.
         let mut counts = vec![Emitted::default(); ranges.len()];
         {
             let count_w = SlotWriter::new(&mut counts);
@@ -193,15 +190,11 @@ pub fn tag_symbols(
         let mut sym_bases = Vec::with_capacity(counts.len());
         let mut run_bases = Vec::with_capacity(counts.len());
         let (mut total_symbols, mut total_runs) = (0, 0);
-        let mut col_chunk_runs = vec![0u64; num_out_cols];
         for e in &counts {
             sym_bases.push(total_symbols as usize);
             run_bases.push(total_runs as usize);
             total_symbols += e.symbols;
             total_runs += e.runs;
-            for (sum, n) in col_chunk_runs.iter_mut().zip(&e.col_chunk_runs) {
-                *sum += n;
-            }
         }
 
         // Walk B: emit into pre-sized arena-backed arrays.
@@ -228,10 +221,10 @@ pub fn tag_symbols(
             });
         }
 
-        // Work counters model the paper's per-chunk GPU kernel, not this
-        // walk: two passes over the input and its bitmaps, a column tag
-        // per symbol plus the mode's record tag or delimiter flag, and the
-        // runs a per-chunk walker would emit (`Tagged::col_chunk_runs`).
+        // Work counters model the paper's GPU kernel: two passes over the
+        // input and its bitmaps, a column tag per symbol plus the mode's
+        // record tag or delimiter flag, and the emitted runs (the
+        // per-chunk ones when the model walks one range per chunk).
         let per_symbol_out: u64 = 1
             + 4
             + match cfg.mode {
@@ -239,20 +232,18 @@ pub fn tag_symbols(
                 TaggingMode::InlineTerminated { .. } => 0,
                 TaggingMode::VectorDelimited => 1,
             };
-        let chunk_runs: u64 = col_chunk_runs.iter().sum();
         counters.kernel_launches = 2;
         counters.bytes_read = 2 * (n as u64 + n as u64 / 2);
-        counters.bytes_written = total_symbols * per_symbol_out + chunk_runs * RUN_BYTES;
+        counters.bytes_written = total_symbols * per_symbol_out + total_runs * RUN_BYTES;
         counters.parallel_ops = 2 * n as u64;
 
-        (symbols, runs, col_chunk_runs)
+        (symbols, runs)
     })?;
 
     Ok(Tagged {
         mode: cfg.mode,
         symbols,
         runs,
-        col_chunk_runs,
         rejected: rejected.into_bitmap(),
         terminator_clash: clash.load(Ordering::Relaxed),
     })
@@ -263,13 +254,10 @@ pub fn tag_symbols(
 pub(crate) const RUN_BYTES: u64 = 25;
 
 /// What one range's walk emitted.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Emitted {
     symbols: u64,
     runs: u64,
-    /// Modelled chunk-runs per output column (see
-    /// [`Tagged::col_chunk_runs`]).
-    col_chunk_runs: Vec<u64>,
 }
 
 /// Where the emitting walk writes: the global symbol and run arrays and
@@ -309,10 +297,6 @@ struct Walker<'a, 's> {
     out_col: Option<u32>,
     /// The open run.
     run: Option<FieldRun>,
-    /// For the modelled chunk-runs: the end of the chunk holding the last
-    /// appended byte, and its value when the open run last grew.
-    cut: usize,
-    run_cut: usize,
     emitted: Emitted,
     sinks: Option<Sinks<'s>>,
     marks: Option<&'s Marks<'s>>,
@@ -347,12 +331,7 @@ impl<'a, 's> Walker<'a, 's> {
             row: None,
             out_col: map_col(cfg.col_map, col),
             run: None,
-            cut: range.chunks.start * chunk_size,
-            run_cut: 0,
-            emitted: Emitted {
-                col_chunk_runs: vec![0; num_out_cols(cfg.col_map)],
-                ..Emitted::default()
-            },
+            emitted: Emitted::default(),
             sinks,
             marks,
         };
@@ -433,14 +412,14 @@ impl<'a, 's> Walker<'a, 's> {
                 marks.clash.store(true, Ordering::Relaxed);
             }
         }
-        self.emit(a, b, &input[a..b], false);
+        self.emit(&input[a..b], false);
     }
 
     /// A record (`is_rec`) or field delimiter at byte `i`.
     fn delimiter(&mut self, i: usize, is_rec: bool) {
         if self.include_delims {
             let byte = self.terminator.unwrap_or(self.input[i]);
-            self.emit(i, i + 1, &[byte], true);
+            self.emit(&[byte], true);
         }
         if is_rec {
             if let (Some(expect), Some(row)) = (self.cfg.expected_columns, self.row) {
@@ -499,12 +478,12 @@ impl<'a, 's> Walker<'a, 's> {
             (skip.get(self.next_skip) != Some(&self.rec)).then(|| self.rec - self.next_skip as u64);
     }
 
-    /// Emit `symbols`, standing for input bytes `a..b`, when the current
-    /// field is kept: write them (emitting walk) and append them to the
-    /// open run, or flush it and open a new one when the field changes or
-    /// the open run was closed by a delimiter.
+    /// Emit `symbols` when the current field is kept: write them
+    /// (emitting walk) and append them to the open run, or flush it and
+    /// open a new one when the field changes or the open run was closed by
+    /// a delimiter.
     #[inline]
-    fn emit(&mut self, a: usize, b: usize, symbols: &[u8], closed: bool) {
+    fn emit(&mut self, symbols: &[u8], closed: bool) {
         let (Some(row), Some(col)) = (self.row.map(|r| r as u32), self.out_col) else {
             return;
         };
@@ -516,22 +495,11 @@ impl<'a, 's> Walker<'a, 's> {
                     .write_slice(s.sym_base + self.emitted.symbols as usize, symbols)
             };
         }
-        let extends = matches!(self.run, Some(r) if r.row == row && r.col == col && !r.closed());
-        // Count the chunks `a..b` falls in, less the one the open run
-        // already has when the span starts in its last chunk.
-        while self.cut <= a {
-            self.cut += self.chunk_size;
-        }
-        let mut chunks = u64::from(!extends || self.cut != self.run_cut);
-        while self.cut < b {
-            self.cut += self.chunk_size;
-            chunks += 1;
-        }
-        self.run_cut = self.cut;
-        self.emitted.col_chunk_runs[col as usize] += chunks;
         let len = symbols.len() as u64;
         match &mut self.run {
-            Some(run) if extends => run.extend(len, closed),
+            Some(run) if run.row == row && run.col == col && !run.closed() => {
+                run.extend(len, closed)
+            }
             _ => {
                 self.flush();
                 self.run = Some(FieldRun::new(col, row, len, closed));
@@ -551,15 +519,6 @@ impl<'a, 's> Walker<'a, 's> {
             self.emitted.runs += 1;
         }
     }
-}
-
-/// Number of output columns `col_map` maps into.
-fn num_out_cols(col_map: &[Option<u32>]) -> usize {
-    col_map
-        .iter()
-        .flatten()
-        .max()
-        .map_or(0, |&c| c as usize + 1)
 }
 
 #[inline]

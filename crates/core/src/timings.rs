@@ -199,10 +199,12 @@ pub struct ParseOutput {
     pub stats: ParseStats,
     /// Wall-clock phase timings on this host.
     pub timings: PhaseTimings,
-    /// The work profile of every kernel launch, one per host launch.
-    /// Pass 1's lane count is left at zero: the modelled per-chunk count
-    /// is charged only by [`Parser::model`](crate::Parser::model), whose
-    /// profiles feed the device cost model.
+    /// The work profile of every kernel launch, one per host launch,
+    /// charging the host's own walk: `parse/pass1` charges no lane ops,
+    /// and the `tag`, `partition` and `convert/index` counters charge the
+    /// field runs of the host's worker ranges. The per-chunk counts of the
+    /// paper's grid come from [`Parser::model`](crate::Parser::model),
+    /// whose profiles feed the device cost model.
     pub profiles: Vec<WorkProfile>,
 }
 

@@ -5,25 +5,46 @@
 //! The reference below reads the same bitmaps one bit at a time over the
 //! whole input. Both must agree on the compacted symbols, the field runs
 //! (after joining worker splits, with starts implied by the order), the
-//! per-column modelled chunk-runs, the reject bitmap, the diagnostics and
-//! the terminator clash — across tagging modes, skipped records, dropped
-//! and out-of-range columns, column-count validation, inputs with reject
-//! bits, chunk sizes that straddle bitmap words, worker counts and both
-//! launch modes.
+//! reject bitmap, the diagnostics and the terminator clash — across
+//! tagging modes, skipped records, dropped and out-of-range columns,
+//! column-count validation, inputs with reject bits, chunk sizes that
+//! straddle bitmap words, worker counts and both launch modes. Over
+//! one-chunk pass-2 ranges (the paper's grid, which the cost model runs)
+//! the walk must emit, per output column, exactly the runs the reference
+//! counts as per-chunk field pieces.
 
 use parparaw_core::context::determine_contexts_fast;
 use parparaw_core::diag::{DiagSink, RecordDiagnostic, RejectReason};
-use parparaw_core::meta::{identify_columns_and_records, MetaPass};
+use parparaw_core::meta::{identify_columns_and_records, identify_ranges, MetaPass};
 use parparaw_core::tagging::{tag_symbols, FieldRun, TagConfig};
 use parparaw_core::{ScanAlgorithm, TaggingMode};
 use parparaw_dfa::csv::{rfc4180, rfc4180_paper, CsvDialect};
 use parparaw_dfa::{Dfa, DfaBuilder, Emit};
-use parparaw_parallel::{Bitmap, Grid, KernelExecutor, LaunchMode, SplitMix64};
+use parparaw_parallel::{grid, Bitmap, Grid, KernelExecutor, LaunchMode, SplitMix64};
 
 fn meta_on(exec: &KernelExecutor, dfa: &Dfa, input: &[u8], chunk_size: usize) -> MetaPass {
     let ctx = determine_contexts_fast(exec, dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
         .unwrap();
     identify_columns_and_records(exec, dfa, input, chunk_size, &ctx.start_states).unwrap()
+}
+
+/// Pass 2 on the paper's grid: one range per chunk of a non-empty input,
+/// each from its per-chunk start state.
+fn per_chunk_meta(exec: &KernelExecutor, dfa: &Dfa, input: &[u8], chunk_size: usize) -> MetaPass {
+    let ctx = determine_contexts_fast(exec, dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
+        .unwrap();
+    let n = ctx.start_states.len();
+    let ranges = grid::partition(n, n);
+    identify_ranges(exec, dfa, input, chunk_size, &ranges, &ctx.start_states).unwrap()
+}
+
+/// The tag walk's runs counted per output column.
+fn runs_per_col(runs: &[FieldRun], num_cols: usize) -> Vec<u64> {
+    let mut counts = vec![0; num_cols];
+    for r in runs {
+        counts[r.col as usize] += 1;
+    }
+    counts
 }
 
 /// One field of the reference, in input order: where its symbols start
@@ -75,7 +96,7 @@ struct Reference {
 }
 
 impl Reference {
-    /// The modelled chunk-runs summed per output column.
+    /// The per-chunk field pieces summed per output column.
     fn col_chunk_runs(&self, num_cols: usize) -> Vec<u64> {
         let mut sums = vec![0; num_cols];
         for r in &self.runs {
@@ -245,6 +266,7 @@ fn word_walk_matches_byte_reference() {
                 for (k, input) in inputs.iter().enumerate() {
                     for cs in [1usize, 3, 31, 63, 64, 65, 200] {
                         let meta = meta_on(&exec, dfa, input, cs);
+                        let chunk_meta = per_chunk_meta(&exec, dfa, input, cs);
                         let last = meta.num_records.saturating_sub(1);
                         let mut skip: Vec<u64> = vec![0, 2, 3, 7, last];
                         skip.retain(|&r| r < meta.num_records);
@@ -284,8 +306,11 @@ fn word_walk_matches_byte_reference() {
                                 assert_eq!(got.symbols, want.symbols, "{at}");
                                 assert_eq!(merged(&got.runs), fields_of(&want.runs), "{at}");
                                 let num_cols = cfg.col_map.iter().flatten().count();
+                                let per_chunk = TagConfig { diags: None, ..cfg };
+                                let per_chunk =
+                                    tag_symbols(&exec, input, cs, &chunk_meta, &per_chunk).unwrap();
                                 assert_eq!(
-                                    got.col_chunk_runs,
+                                    runs_per_col(&per_chunk.runs, num_cols),
                                     want.col_chunk_runs(num_cols),
                                     "{at}"
                                 );
@@ -311,8 +336,7 @@ fn word_walk_matches_byte_reference() {
 /// Tagging follows pass 2's worker ranges, not the grid it runs on: with
 /// pass 2 on three workers, tagging on one, two or eight workers, or on a
 /// spawn-per-launch grid, yields the same symbols, the same runs (split
-/// at the same three-range edges), the same chunk-runs and the same
-/// rejects.
+/// at the same three-range edges) and the same rejects.
 #[test]
 fn tagging_follows_pass2_ranges_on_any_grid() {
     let dfa = rfc4180_paper();
@@ -362,7 +386,6 @@ fn tagging_follows_pass2_ranges_on_any_grid() {
                     let got = tag_symbols(exec, input, cs, &meta, &cfg).unwrap();
                     assert_eq!(got.symbols, want.symbols, "{at}");
                     assert_eq!(got.runs, want.runs, "{at}");
-                    assert_eq!(got.col_chunk_runs, want.col_chunk_runs, "{at}");
                     assert_eq!(got.rejected, want.rejected, "{at}");
                 }
             }

@@ -18,7 +18,7 @@
 //! --mode tagged|inline|delimited   tagging mode (paper §4.1)
 //! --chunk-size <n>             bytes per chunk (default 31)
 //! --workers <n>                worker threads (default: all cores)
-//! --stream <size>              streamed parse with this partition size
+//! --stream <size>              streamed parse with this partition size (≥ 1 byte)
 //! --header                     first record provides the column names
 //! --skip-rows a,b,c            prune rows before parsing
 //! --select i,j,k               parse only these columns
@@ -149,6 +149,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// A byte count with an optional `K`/`M`/`G` suffix; `None` unless it is
+/// a finite size of at least one byte.
 fn parse_size(s: &str) -> Option<usize> {
     let (num, mult) = match s.chars().last()? {
         'k' | 'K' => (&s[..s.len() - 1], 1usize << 10),
@@ -156,7 +158,8 @@ fn parse_size(s: &str) -> Option<usize> {
         'g' | 'G' => (&s[..s.len() - 1], 1usize << 30),
         _ => (s, 1),
     };
-    num.parse::<f64>().ok().map(|v| (v * mult as f64) as usize)
+    let bytes = num.parse::<f64>().ok()? * mult as f64;
+    (bytes.is_finite() && bytes >= 1.0).then_some(bytes as usize)
 }
 
 fn main() -> ExitCode {
@@ -342,13 +345,16 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "csv" => {
-            let out = write_csv(&table, &CsvWriteOptions::default());
-            emit(&out, args.out_path.as_deref());
-        }
-        "ipc" => {
-            let out = ipc::write_table(&table);
-            emit(&out, args.out_path.as_deref());
+        "csv" | "ipc" => {
+            let out = match args.out.as_str() {
+                "csv" => write_csv(&table, &CsvWriteOptions::default()),
+                _ => ipc::write_table(&table),
+            };
+            if let Err(e) = emit(&out, args.out_path.as_deref()) {
+                let to = args.out_path.as_deref().unwrap_or("stdout");
+                eprintln!("error: write {to}: {e}");
+                return ExitCode::from(1);
+            }
         }
         o => {
             eprintln!("error: unknown output {o}");
@@ -358,16 +364,10 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn emit(bytes: &[u8], path: Option<&str>) {
+fn emit(bytes: &[u8], path: Option<&str>) -> std::io::Result<()> {
+    use std::io::Write;
     match path {
-        Some(p) => {
-            if let Err(e) = std::fs::write(p, bytes) {
-                eprintln!("error: write {p}: {e}");
-            }
-        }
-        None => {
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(bytes);
-        }
+        Some(p) => std::fs::write(p, bytes),
+        None => std::io::stdout().write_all(bytes),
     }
 }
