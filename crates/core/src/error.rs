@@ -80,8 +80,8 @@ impl ParseError {
         matches!(self, ParseError::Launch(e) if e.is_cancelled())
     }
 
-    /// Whether this error reports an expired launch deadline (after
-    /// retries and relaunch recovery were exhausted).
+    /// Whether this error reports an expired launch deadline (after the
+    /// executor's retries were exhausted).
     pub fn is_timeout(&self) -> bool {
         matches!(self, ParseError::Launch(e) if e.is_timeout())
     }

@@ -132,7 +132,7 @@ mod tests {
     use super::*;
     use crate::context::determine_contexts_fast;
     use crate::meta::identify_ranges;
-    use crate::options::ParserOptions;
+    use crate::options::{ParserOptions, TaggingMode};
     use crate::partition::partition_by_column_with;
     use crate::tagging::{tag_symbols, TagConfig, RUN_BYTES};
     use parparaw_dfa::csv::{rfc4180, CsvDialect};
@@ -150,13 +150,21 @@ mod tests {
         // reference kernels' launch records, counter for counter. Its
         // `tag`, `partition` and `convert/index` profiles charge the runs
         // tagging emits over one-chunk pass-2 ranges; every other profile
-        // is the parse's.
+        // is the parse's. All of them are independent of the host's worker
+        // count.
         let dfa = rfc4180(&CsvDialect::default());
         let input = input();
-        for workers in [1usize, 2, 3] {
-            for cs in [7usize, 31] {
+        let modes = [
+            TaggingMode::RecordTagged,
+            TaggingMode::inline_default(),
+            TaggingMode::VectorDelimited,
+        ];
+        for (tagging, cs) in modes.into_iter().flat_map(|t| [(t, 7usize), (t, 31)]) {
+            let mut one_worker: Option<Vec<WorkProfile>> = None;
+            for workers in [1usize, 2, 3] {
                 let opts = ParserOptions {
                     grid: Grid::new(workers),
+                    tagging,
                     ..ParserOptions::default()
                 }
                 .chunk_size(cs);
@@ -192,7 +200,7 @@ mod tests {
                     .map(WorkProfile::from_launch)
                     .collect();
 
-                let at = format!("workers {workers} cs {cs}");
+                let at = format!("{tagging:?} workers {workers} cs {cs}");
                 assert_eq!(model.profiles.len(), parsed.profiles.len(), "{at}");
                 for want in &reference {
                     let got = model.profiles.iter().find(|p| p.label == want.label);
@@ -226,33 +234,43 @@ mod tests {
                 let cost = CostModel::new(opts.device.clone());
                 let sim = SimulatedTimings::from_profiles(&cost, &model.profiles, 0);
                 assert_eq!(sim.total_seconds, model.simulated.total_seconds, "{at}");
+                // The model charges the paper's grid, not the host's: its
+                // profiles do not depend on the worker count.
+                let first = one_worker.get_or_insert_with(|| model.profiles.clone());
+                assert_eq!(&model.profiles, first, "{at}");
             }
         }
     }
 
     #[test]
     fn stream_model_follows_the_stream_cut_points() {
-        let parser = Parser::new(
-            rfc4180(&CsvDialect::default()),
-            ParserOptions {
-                grid: Grid::new(2),
-                ..ParserOptions::default()
-            },
-        );
         let input = input();
-        let streamed = parser.parse_stream(&input, 1024).unwrap();
-        let model = parser.model_stream(&input, 1024).unwrap();
-        assert_eq!(model.partitions.len(), streamed.partitions.len());
-        for (m, r) in model.partitions.iter().zip(&streamed.partitions) {
-            assert_eq!(
-                (m.input_bytes, m.carry_bytes, m.output_bytes),
-                (r.input_bytes, r.carry_bytes, r.output_bytes)
+        let mut one_worker = None;
+        for workers in [1usize, 2, 3] {
+            let parser = Parser::new(
+                rfc4180(&CsvDialect::default()),
+                ParserOptions {
+                    grid: Grid::new(workers),
+                    ..ParserOptions::default()
+                },
             );
-            assert!(m.parse_seconds_simulated > 0.0);
+            let streamed = parser.parse_stream(&input, 1024).unwrap();
+            let model = parser.model_stream(&input, 1024).unwrap();
+            assert_eq!(model.partitions.len(), streamed.partitions.len());
+            for (m, r) in model.partitions.iter().zip(&streamed.partitions) {
+                assert_eq!(
+                    (m.input_bytes, m.carry_bytes, m.output_bytes),
+                    (r.input_bytes, r.carry_bytes, r.output_bytes)
+                );
+                assert!(m.parse_seconds_simulated > 0.0);
+            }
+            let plan = model.streaming_plan(PcieLink::pcie3_x16());
+            let report = plan.simulate(&CostModel::new(parser.options().device.clone()));
+            assert!(report.total_seconds > 0.0);
+            // Every partition's modelled work is the same on any host
+            // worker count.
+            let first = one_worker.get_or_insert_with(|| plan.partitions.clone());
+            assert_eq!(&plan.partitions, first, "workers {workers}");
         }
-        let report = model
-            .streaming_plan(PcieLink::pcie3_x16())
-            .simulate(&CostModel::new(parser.options().device.clone()));
-        assert!(report.total_seconds > 0.0);
     }
 }

@@ -28,7 +28,7 @@ use crate::options::{PartitionKernel, TaggingMode};
 use crate::tagging::{FieldRun, Tagged, RUN_BYTES};
 use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::{exclusive_scan_seq, AddOp};
-use parparaw_parallel::{histogram, radix, BufferArena, KernelExecutor, LaunchError};
+use parparaw_parallel::{histogram, radix, KernelExecutor, LaunchError};
 
 /// A column's field runs after partitioning: grouped by column, input
 /// order within each column, so column `c`'s runs tile its CSS.
@@ -60,21 +60,27 @@ pub struct Partitioned {
 /// Partition the tagged symbols into per-column CSSs as one instrumented
 /// `partition` launch, using `kernel`.
 ///
-/// The consumed tag buffers go back to the executor's arena (so the next
-/// pipeline run's `tag` launch reuses them) and the output arrays come
-/// from it (labels `partition/symbols`, `partition/runs`). The pipeline
-/// puts those outputs back once the convert phase has consumed the CSSs,
-/// closing the reuse cycle across streaming runs.
+/// The kernels only read the tag buffers, so a failed attempt retries
+/// like any other launch; afterwards the buffers go back to the
+/// executor's arena (so the next pipeline run's `tag` launch reuses
+/// them). The output arrays come from it (labels `partition/symbols`,
+/// `partition/runs`). The pipeline puts those outputs back once the
+/// convert phase has consumed the CSSs, closing the reuse cycle across
+/// streaming runs.
 pub fn partition_by_column_with(
     exec: &KernelExecutor,
     tagged: Tagged,
     num_columns: usize,
     kernel: PartitionKernel,
 ) -> Result<Partitioned, LaunchError> {
-    match kernel {
-        PartitionKernel::RunScatter => partition_run_scatter(exec, tagged, num_columns),
-        PartitionKernel::RadixSort => partition_radix_sort(exec, tagged, num_columns),
-    }
+    let out = match kernel {
+        PartitionKernel::RunScatter => partition_run_scatter(exec, &tagged, num_columns),
+        PartitionKernel::RadixSort => partition_radix_sort(exec, &tagged, num_columns),
+    };
+    let arena = exec.arena();
+    arena.put_u8("tag/symbols", tagged.symbols);
+    arena.put_vec("tag/runs", tagged.runs);
+    out
 }
 
 /// The run-scatter kernel: (1) per-worker histograms over the field runs
@@ -85,16 +91,14 @@ pub fn partition_by_column_with(
 /// before it, which its histogram already counts.
 fn partition_run_scatter(
     exec: &KernelExecutor,
-    tagged: Tagged,
+    tagged: &Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
     let n = tagged.symbols.len();
     let num_columns = num_columns.max(1);
     let num_runs = tagged.runs.len();
 
-    // `launch_once` because the scatter consumes the tagged buffers;
-    // injected faults (which fire before the job body runs) still retry.
-    exec.launch_once("partition", n, |grid, counters| {
+    exec.launch("partition", n, |grid, counters| {
         let arena = exec.arena();
         let in_runs = &tagged.runs;
 
@@ -190,22 +194,22 @@ fn partition_run_scatter(
         // symbol the CSS byte both ways plus the record tag (tagged mode)
         // or delimiter flag (vector mode) — the mode traffic Figure 11
         // ranks; per run the run metadata through the histogram and
-        // scatter passes. The scans are serial.
+        // scatter passes. The scans are serial, over one histogram row
+        // (run and symbol counts per column) plus the CSS and run
+        // offsets, whatever the host's worker count.
         let runs = num_runs as u64;
-        let model_workers = grid.workers().min(num_runs.max(1));
         let per_symbol: u64 = 1 + match tagged.mode {
             TaggingMode::RecordTagged => 4,
             TaggingMode::InlineTerminated { .. } => 0,
             TaggingMode::VectorDelimited => 1,
         };
-        let scan_cells = (model_workers * num_columns) as u64 * 2 + (num_columns + 1) as u64 * 2;
+        let scan_cells = num_columns as u64 * 2 + (num_columns + 1) as u64 * 2;
         counters.kernel_launches = 2; // histogram + scatter
         counters.bytes_read = n as u64 * per_symbol + 2 * runs * RUN_BYTES;
         counters.bytes_written = n as u64 * per_symbol + runs * RUN_BYTES + scan_cells * 8;
         counters.parallel_ops = 2 * runs + n as u64;
         counters.serial_ops = scan_cells;
 
-        return_tag_buffers(arena, tagged);
         Partitioned {
             symbols,
             rec_tags: Vec::new(),
@@ -224,7 +228,7 @@ fn partition_run_scatter(
 /// runs are the input runs stably ordered by column.
 fn partition_radix_sort(
     exec: &KernelExecutor,
-    tagged: Tagged,
+    tagged: &Tagged,
     num_columns: usize,
 ) -> Result<Partitioned, LaunchError> {
     let n = tagged.symbols.len();
@@ -234,9 +238,7 @@ fn partition_radix_sort(
     let passes = (32 - max_key.leading_zeros()).div_ceil(digit_bits).max(1);
     let record_tagged = tagged.mode == TaggingMode::RecordTagged;
 
-    // `launch_once` because the sort consumes the tagged buffers; injected
-    // faults (which fire before the job body runs) still retry.
-    exec.launch_once("partition", n, |grid, counters| {
+    exec.launch("partition", n, |grid, counters| {
         let arena = exec.arena();
         let expand = |label: &str, tag: fn(&FieldRun) -> u32| {
             let mut out = arena.take_u32(label);
@@ -303,7 +305,6 @@ fn partition_radix_sort(
         counters.parallel_ops = passes as u64 * n as u64 * 2 + n as u64;
         counters.serial_ops = (num_columns + 1) as u64;
 
-        return_tag_buffers(arena, tagged);
         Partitioned {
             symbols,
             rec_tags,
@@ -314,13 +315,6 @@ fn partition_radix_sort(
             }),
         }
     })
-}
-
-/// Hand the consumed tag buffers back to the arena for the next `tag`
-/// launch.
-fn return_tag_buffers(arena: &BufferArena, tagged: Tagged) {
-    arena.put_u8("tag/symbols", tagged.symbols);
-    arena.put_vec("tag/runs", tagged.runs);
 }
 
 impl Partitioned {

@@ -11,11 +11,17 @@
 //! caller's input in place, each window being the carry (bytes already in
 //! the input) plus the next partition. The cursor owns all that carries
 //! between partitions (the carry's offset, header, frozen schema,
-//! stream-global diagnostics and `skip_records`, relaunch recovery, the
-//! arena-budget ladder, the [`Checkpoint`]). [`Parser::parse_stream_resumable`]
-//! and [`Parser::partitions`] run the same cursor step on the calling
-//! thread; they differ only in whether the batches are collected or
-//! yielded.
+//! stream-global diagnostics and `skip_records`, the arena-budget ladder,
+//! the [`Checkpoint`]). [`Parser::parse_stream_resumable`] and
+//! [`Parser::partitions`] run the same cursor step on the calling thread;
+//! they differ only in whether the batches are collected or yielded.
+//!
+//! Each window is one [`Parser::parse`]-style run on the stream's
+//! executor, so a stream recovers from launch faults exactly as `parse`
+//! does: through the executor's retry→degrade ladder, under the caller's
+//! deadline, budget and fault injector. A launch error that outlives the
+//! ladder ends the stream like a fired cancel token, at the last
+//! [`Checkpoint`].
 //!
 //! [`Parser::model_stream`] runs the same cursor on the paper's per-chunk
 //! grid (see [`crate::model`]), so the simulated device can replay the Fig. 7
@@ -26,9 +32,10 @@ use crate::diag::RecordDiagnostic;
 use crate::error::ParseError;
 use crate::options::ErrorPolicy;
 use crate::pipeline::{split_header, Parsed, Parser};
+use crate::timings::PhaseTimings;
 use parparaw_columnar::{Schema, Table};
 use parparaw_device::WorkProfile;
-use parparaw_parallel::{Grid, KernelExecutor, LaunchMode};
+use parparaw_parallel::KernelExecutor;
 use std::time::{Duration, Instant};
 
 /// The partition-size degradation floor: under arena budget pressure the
@@ -50,18 +57,9 @@ pub struct PartitionReport {
     pub parse_wall: Duration,
     /// Records produced by this partition.
     pub records: u64,
-    /// Launch attempts beyond the first while parsing this partition.
-    pub retries: u64,
-    /// Launches that degraded to spawn-per-launch for this partition.
-    pub degraded_launches: u64,
-    /// Faults injected by a configured fault injector.
-    pub injected_faults: u64,
-    /// Whether this partition exhausted its launch retries and was
-    /// re-parsed from scratch on a fresh spawn-per-launch executor.
-    pub relaunched: bool,
-    /// Launch attempts that were unwound by the deadline watchdog while
-    /// parsing this partition.
-    pub timeouts: u64,
+    /// This partition's phase wall times and its launches' retries,
+    /// degradations, injected faults and timeouts.
+    pub timings: PhaseTimings,
     /// Whether arena budget pressure observed after this partition caused
     /// the stream to halve its effective partition size.
     pub budget_degraded: bool,
@@ -93,23 +91,20 @@ pub struct StreamedOutput {
 impl StreamedOutput {
     /// Total launch retries across all partitions.
     pub fn total_retries(&self) -> u64 {
-        self.partitions.iter().map(|p| p.retries).sum()
+        self.partitions.iter().map(|p| p.timings.retries).sum()
     }
 
     /// Total injected faults across all partitions.
     pub fn total_injected_faults(&self) -> u64 {
-        self.partitions.iter().map(|p| p.injected_faults).sum()
-    }
-
-    /// Number of partitions that had to be re-parsed on a fresh
-    /// spawn-per-launch executor after exhausting launch retries.
-    pub fn relaunched_partitions(&self) -> u64 {
-        self.partitions.iter().filter(|p| p.relaunched).count() as u64
+        self.partitions
+            .iter()
+            .map(|p| p.timings.injected_faults)
+            .sum()
     }
 
     /// Total launch attempts unwound by the deadline watchdog.
     pub fn total_timeouts(&self) -> u64 {
-        self.partitions.iter().map(|p| p.timeouts).sum()
+        self.partitions.iter().map(|p| p.timings.timeouts).sum()
     }
 
     /// Number of partitions after which arena budget pressure halved the
@@ -155,9 +150,10 @@ pub struct Checkpoint {
     pub schema: Option<Schema>,
 }
 
-/// A stream that stopped early — cancellation, an exhausted launch
-/// deadline, or a strict-policy memory-budget failure — carrying both the
-/// work already completed and the [`Checkpoint`] to resume from.
+/// A stream that stopped early — cancellation, a launch failure its
+/// retries did not recover (an exhausted deadline, say), or a
+/// strict-policy memory-budget failure — carrying both the work already
+/// completed and the [`Checkpoint`] to resume from.
 ///
 /// Boxed in results (`Result<_, Box<StreamInterrupted>>`) because it owns
 /// the completed partitions' table.
@@ -326,48 +322,14 @@ impl StreamCursor {
         };
         let is_last = self.done;
         let started = Instant::now();
-        let (mut retries, mut injected, mut timeouts) = (0u64, 0u64, 0u64);
-        let mut relaunched = false;
-        let parsed =
-            match self
-                .parser
-                .parse_with(exec, work, !is_last, Some(&self.state), self.model)
-            {
-                // A fired CancelToken is a caller decision, not a fault: it
-                // interrupts the stream without relaunch recovery.
-                Err(ParseError::Launch(e)) if !e.is_cancelled() => {
-                    // The failed run left its launch records (the exhausted
-                    // attempts included) in the executor's log; this
-                    // partition's report keeps their counts.
-                    for r in exec.drain_log() {
-                        retries += u64::from(r.attempts.saturating_sub(1));
-                        injected += u64::from(r.injected_faults);
-                        timeouts += u64::from(r.timed_out_attempts);
-                    }
-                    // One recovery parse on a fresh spawn-per-launch executor,
-                    // which cannot inherit corrupted pool state (a poisoned
-                    // worker pool, say): the fault stays with this partition.
-                    // The cancel token still applies (recovery must stay
-                    // interruptible); the deadline and the fault injector do
-                    // not, so the partition gets one clean, unharassed run.
-                    relaunched = true;
-                    let o = self.parser.options();
-                    let grid = Grid::with_mode(o.grid.workers(), LaunchMode::SpawnPerLaunch);
-                    let mut recovery = KernelExecutor::new(grid).with_retry(o.retry);
-                    if let Some(token) = o.cancel.clone() {
-                        recovery = recovery.with_cancel(token);
-                    }
-                    self.parser
-                        .parse_with(&recovery, work, !is_last, Some(&self.state), self.model)
-                }
-                parsed => parsed,
-            };
         let Parsed {
             out,
             carry_len,
             records,
             schema,
-        } = parsed?;
+        } = self
+            .parser
+            .parse_with(exec, work, !is_last, Some(&self.state), self.model)?;
         let parse_wall = started.elapsed();
 
         if let (Some(schema), true) = (schema, out.stats.num_records > 0) {
@@ -416,11 +378,7 @@ impl StreamCursor {
                 output_bytes: out.stats.output_bytes,
                 parse_wall,
                 records: out.stats.num_records,
-                retries: out.timings.retries + retries,
-                degraded_launches: out.timings.degraded_launches,
-                injected_faults: out.timings.injected_faults + injected,
-                relaunched,
-                timeouts: out.timings.timeouts + timeouts,
+                timings: out.timings,
                 budget_degraded,
                 partition_size: self.state.partition_size,
             },
@@ -544,8 +502,9 @@ impl Parser {
 /// integration-friendly shape for pipelines that process batches as they
 /// arrive instead of materialising the whole output
 /// ([`Parser::parse_stream`] does the latter). Batches equal
-/// [`Parser::parse_stream`]'s, and the budget ladder, relaunch recovery
-/// and checkpoints apply here too.
+/// [`Parser::parse_stream`]'s, and the budget ladder and checkpoints apply
+/// here too: after an error the iterator ends, and
+/// [`PartitionIter::checkpoint`] says where to resume.
 pub struct PartitionIter<'a> {
     exec: KernelExecutor,
     cursor: StreamCursor,

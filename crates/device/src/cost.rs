@@ -110,14 +110,6 @@ impl CostModel {
         phases.iter().map(|p| self.seconds(p)).sum()
     }
 
-    /// Simulated seconds for an executor launch log: one kernel per
-    /// [`LaunchRecord`], run back to back.
-    pub fn seconds_of_log(&self, log: &[LaunchRecord]) -> f64 {
-        log.iter()
-            .map(|r| self.seconds(&WorkProfile::from_launch(r)))
-            .sum()
-    }
-
     /// Simulated parsing rate in GB/s for `input_bytes` of input.
     pub fn rate_gbps(&self, phases: &[WorkProfile], input_bytes: u64) -> f64 {
         let t = self.seconds_total(phases);

@@ -35,5 +35,5 @@ pub mod timeline;
 pub use config::DeviceConfig;
 pub use cost::{CostModel, WorkProfile};
 pub use pcie::PcieLink;
-pub use streaming::{ResumeReport, StreamingPlan, StreamingReport};
+pub use streaming::{StreamingPlan, StreamingReport};
 pub use timeline::{TaskId, Timeline};

@@ -51,65 +51,7 @@ pub struct StreamingReport {
     pub timeline: Timeline,
 }
 
-/// The simulated cost of restarting an interrupted stream (see
-/// [`StreamingPlan::simulate_resumed`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResumeReport {
-    /// End-to-end seconds had the stream run uninterrupted.
-    pub uninterrupted_seconds: f64,
-    /// Seconds of the first run, covering the emitted prefix.
-    pub prefix_seconds: f64,
-    /// Seconds of the resumed run over the remaining partitions.
-    pub resumed_seconds: f64,
-    /// Extra seconds paid for the restart: the pipeline overlap lost
-    /// across the interruption boundary plus the second epoch's cold
-    /// start (its first transfer re-reads the carry bytes and overlaps
-    /// with nothing).
-    pub restart_penalty_seconds: f64,
-}
-
 impl StreamingPlan {
-    /// Simulate this plan as two epochs split after `completed`
-    /// partitions — the shape of a stream interrupted and resumed from a
-    /// checkpoint. The resumed epoch's first partition re-reads its
-    /// carry-over from the host input (that is how the host checkpoint
-    /// works), so its carry bytes move into the transfer and the
-    /// device-side carry copy disappears.
-    pub fn simulate_resumed(&self, model: &CostModel, completed: usize) -> ResumeReport {
-        let completed = completed.min(self.partitions.len());
-        let uninterrupted_seconds = self.simulate(model).total_seconds;
-        let prefix = StreamingPlan {
-            link: self.link.clone(),
-            partitions: self.partitions[..completed].to_vec(),
-        };
-        let mut rest = self.partitions[completed..].to_vec();
-        if let Some(first) = rest.first_mut() {
-            first.input_bytes += first.carry_bytes;
-            first.carry_bytes = 0;
-        }
-        let resumed = StreamingPlan {
-            link: self.link.clone(),
-            partitions: rest,
-        };
-        let prefix_seconds = if prefix.partitions.is_empty() {
-            0.0
-        } else {
-            prefix.simulate(model).total_seconds
-        };
-        let resumed_seconds = if resumed.partitions.is_empty() {
-            0.0
-        } else {
-            resumed.simulate(model).total_seconds
-        };
-        ResumeReport {
-            uninterrupted_seconds,
-            prefix_seconds,
-            resumed_seconds,
-            restart_penalty_seconds: (prefix_seconds + resumed_seconds - uninterrupted_seconds)
-                .max(0.0),
-        }
-    }
-
     /// Replay the Figure-7 schedule and report the end-to-end time.
     pub fn simulate(&self, model: &CostModel) -> StreamingReport {
         let mut tl = Timeline::new();
@@ -267,29 +209,6 @@ mod tests {
             .unwrap()
             .start;
         assert!(t2_start >= co1_end - 1e-12);
-    }
-
-    #[test]
-    fn resumed_schedule_pays_a_restart_penalty() {
-        let p = plan(8, 16 << 20, 8 << 20, 0.010);
-        let m = model();
-        let r = p.simulate_resumed(&m, 4);
-        // Two epochs can never beat one uninterrupted pipeline: the
-        // overlap across the boundary is lost.
-        assert!(r.restart_penalty_seconds > 0.0, "{r:?}");
-        assert!(
-            r.prefix_seconds + r.resumed_seconds >= r.uninterrupted_seconds,
-            "{r:?}"
-        );
-        // Degenerate splits collapse to the uninterrupted schedule (the
-        // resumed epoch's first partition re-reads its carry over the
-        // link, so a zero split costs at most that much extra).
-        let whole = p.simulate_resumed(&m, 8);
-        assert!((whole.prefix_seconds - whole.uninterrupted_seconds).abs() < 1e-12);
-        assert_eq!(whole.resumed_seconds, 0.0);
-        let none = p.simulate_resumed(&m, 0);
-        assert_eq!(none.prefix_seconds, 0.0);
-        assert!(none.resumed_seconds >= none.uninterrupted_seconds - 1e-12);
     }
 
     #[test]

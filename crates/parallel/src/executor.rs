@@ -473,38 +473,6 @@ impl KernelExecutor {
         n_chunks: usize,
         job: impl Fn(&Grid, &mut LaunchCounters) -> R,
     ) -> Result<R, LaunchError> {
-        self.launch_attempts(label, n_chunks, |grid, counters| Some(job(grid, counters)))
-    }
-
-    /// Like [`Self::launch`] for jobs that consume captured state (e.g.
-    /// the partition sort, which moves its input buffers — the CPU
-    /// analogue of an in-place GPU kernel).
-    ///
-    /// Injected faults fire *before* the job runs, so they are still
-    /// retried; a real panic mid-job consumes the closure and fails the
-    /// launch without further attempts.
-    pub fn launch_once<R>(
-        &self,
-        label: &str,
-        n_chunks: usize,
-        job: impl FnOnce(&Grid, &mut LaunchCounters) -> R,
-    ) -> Result<R, LaunchError> {
-        let mut slot = Some(job);
-        self.launch_attempts(label, n_chunks, move |grid, counters| {
-            slot.take().map(|j| j(grid, counters))
-        })
-    }
-
-    /// The attempt loop shared by [`Self::launch`] and
-    /// [`Self::launch_once`]. `job` returns `None` when the underlying
-    /// closure was already consumed by a panicking attempt and cannot be
-    /// re-run.
-    fn launch_attempts<R>(
-        &self,
-        label: &str,
-        n_chunks: usize,
-        mut job: impl FnMut(&Grid, &mut LaunchCounters) -> Option<R>,
-    ) -> Result<R, LaunchError> {
         let max_attempts = self.retry.max_attempts.max(1);
         let degrade_after = self.retry.degrade_after.max(1);
         if let Some(token) = &self.cancel {
@@ -596,13 +564,7 @@ impl KernelExecutor {
                 dog.disarm();
             }
             match attempt {
-                Ok(Some(out)) => break Some((out, counters)),
-                Ok(None) => {
-                    // A `launch_once` job consumed by an earlier panic:
-                    // this attempt did nothing, don't count it.
-                    attempts -= 1;
-                    break None;
-                }
+                Ok(out) => break Some((out, counters)),
                 Err(payload) => {
                     let aborted = payload.is::<LaunchAborted>();
                     let signal_cancelled = signal.as_ref().is_some_and(|s| s.cancelled());
@@ -1051,32 +1013,6 @@ mod tests {
         let log = exec.drain_log();
         assert!(log[0].failed);
         assert_eq!(log[0].injected_faults, 3);
-    }
-
-    #[test]
-    fn launch_once_retries_injected_faults_but_not_panics() {
-        // Injected faults fire before the job runs, so even a FnOnce job
-        // survives them.
-        let exec = KernelExecutor::new(Grid::new(1))
-            .with_retry(RetryPolicy::attempts(10))
-            .with_fault_injection(7, 0.5);
-        let moved = vec![1u32, 2, 3];
-        let got = exec
-            .launch_once("test/once", 1, move |_, _| moved.into_iter().sum::<u32>())
-            .unwrap();
-        assert_eq!(got, 6);
-
-        // A real panic consumes the closure: no second attempt happens.
-        let exec = KernelExecutor::new(Grid::new(1)).with_retry(RetryPolicy::attempts(5));
-        let moved = vec![9u32];
-        let err = exec
-            .launch_once("test/once-panic", 1, move |_, _| {
-                let _ = moved;
-                panic!("consumed");
-            })
-            .unwrap_err();
-        assert_eq!(err.attempts, 1, "FnOnce job cannot be re-run after a panic");
-        assert_eq!(err.message, "consumed");
     }
 
     #[test]

@@ -125,37 +125,10 @@ fn sort_core<V>(
     }
 }
 
-/// One stable partitioning pass on digit `(key >> shift) & (num_bins-1)`.
-///
-/// This is also exposed on its own because the tagging pipeline uses a
-/// single partitioning pass directly when the column count fits one digit.
-pub fn partition_pass<V>(
-    grid: &Grid,
-    keys: &[u32],
-    values: &[V],
-    keys_out: &mut [u32],
-    values_out: &mut [V],
-    shift: u32,
-    num_bins: usize,
-) where
-    V: Clone + Send + Sync,
-{
-    let mut digits = vec![0u16; keys.len()];
-    partition_pass_digits(
-        grid,
-        keys,
-        values,
-        keys_out,
-        values_out,
-        shift,
-        num_bins,
-        &mut digits,
-    );
-}
-
-/// [`partition_pass`] with a caller-provided digit cache: the histogram
-/// pass stores each item's digit, the scatter pass reads it back, so the
-/// shift-and-mask runs once per item instead of twice.
+/// One stable partitioning pass on digit `(key >> shift) & (num_bins-1)`,
+/// with a caller-provided digit cache: the histogram pass stores each
+/// item's digit, the scatter pass reads it back, so the shift-and-mask
+/// runs once per item instead of twice.
 #[allow(clippy::too_many_arguments)]
 fn partition_pass_digits<V>(
     grid: &Grid,

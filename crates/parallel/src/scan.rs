@@ -109,17 +109,6 @@ pub fn exclusive_scan_seq<O: ScanOp>(items: &[O::Item], op: &O) -> Vec<O::Item> 
     out
 }
 
-/// Sequential exclusive scan that also returns the total reduction.
-pub fn exclusive_scan_seq_total<O: ScanOp>(items: &[O::Item], op: &O) -> (Vec<O::Item>, O::Item) {
-    let mut out = Vec::with_capacity(items.len());
-    let mut acc = op.identity();
-    for x in items {
-        out.push(acc.clone());
-        acc = op.combine(&acc, x);
-    }
-    (out, acc)
-}
-
 /// Blocked three-phase parallel inclusive scan.
 ///
 /// Phase 1: each worker reduces its contiguous tile. Phase 2: the per-tile

@@ -37,11 +37,18 @@ use parparaw::prelude::*;
 use std::io::Read;
 use std::process::ExitCode;
 
+/// The output form.
+enum Out {
+    Summary,
+    Csv,
+    Ipc,
+}
+
 struct Args {
     input: Option<String>,
-    format: String,
+    /// The `--format` automaton; `None` when `--dfa` names a spec file.
+    format: Option<Dfa>,
     dfa_spec: Option<String>,
-    comment: Option<u8>,
     mode: TaggingMode,
     chunk_size: usize,
     workers: Option<usize>,
@@ -52,17 +59,18 @@ struct Args {
     header: bool,
     head: usize,
     stats: bool,
-    out: String,
+    out: Out,
     out_path: Option<String>,
     utf16: Option<Endianness>,
 }
 
 fn parse_args() -> Result<Args, String> {
+    let mut format = "csv".to_string();
+    let mut comment = None;
     let mut args = Args {
         input: None,
-        format: "csv".into(),
+        format: None,
         dfa_spec: None,
-        comment: None,
         mode: TaggingMode::RecordTagged,
         chunk_size: 31,
         workers: None,
@@ -73,7 +81,7 @@ fn parse_args() -> Result<Args, String> {
         header: false,
         head: 10,
         stats: false,
-        out: "summary".into(),
+        out: Out::Summary,
         out_path: None,
         utf16: None,
     };
@@ -81,11 +89,11 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match a.as_str() {
-            "--format" => args.format = value("--format")?,
+            "--format" => format = value("--format")?,
             "--dfa" => args.dfa_spec = Some(value("--dfa")?),
             "--comment" => {
                 let v = value("--comment")?;
-                args.comment = Some(*v.as_bytes().first().ok_or("--comment needs a char")?);
+                comment = Some(*v.as_bytes().first().ok_or("--comment needs a char")?);
             }
             "--mode" => {
                 args.mode = match value("--mode")?.as_str() {
@@ -134,7 +142,14 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--head: {e}"))?
             }
             "--stats" => args.stats = true,
-            "--out" => args.out = value("--out")?,
+            "--out" => {
+                args.out = match value("--out")?.as_str() {
+                    "summary" => Out::Summary,
+                    "csv" => Out::Csv,
+                    "ipc" => Out::Ipc,
+                    o => return Err(format!("unknown output {o}")),
+                }
+            }
             "-O" => args.out_path = Some(value("-O")?),
             "--utf16le" => args.utf16 = Some(Endianness::Little),
             "--utf16be" => args.utf16 = Some(Endianness::Big),
@@ -145,6 +160,17 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.input.is_none() {
         return Err("no input file (use - for stdin)".into());
+    }
+    if args.dfa_spec.is_none() {
+        let csv = |d: CsvDialect| Some(rfc4180(&CsvDialect { comment, ..d }));
+        args.format = match format.as_str() {
+            "csv" => csv(CsvDialect::default()),
+            "tsv" => csv(CsvDialect::tsv()),
+            "psv" => csv(CsvDialect::psv()),
+            "scsv" => csv(CsvDialect::semicolon()),
+            "log" => Some(parparaw::dfa::log::extended_log()),
+            f => return Err(format!("unknown format {f}")),
+        };
     }
     Ok(args)
 }
@@ -216,45 +242,25 @@ fn main() -> ExitCode {
         None => &raw,
     };
 
-    let dfa = if let Some(path) = &args.dfa_spec {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::from(1);
-            }
-        };
-        match parparaw::dfa::spec::parse_spec(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        match args.format.as_str() {
-            "csv" => rfc4180(&CsvDialect {
-                comment: args.comment,
-                ..CsvDialect::default()
-            }),
-            "tsv" => rfc4180(&CsvDialect {
-                comment: args.comment,
-                ..CsvDialect::tsv()
-            }),
-            "psv" => rfc4180(&CsvDialect {
-                comment: args.comment,
-                ..CsvDialect::psv()
-            }),
-            "scsv" => rfc4180(&CsvDialect {
-                comment: args.comment,
-                ..CsvDialect::semicolon()
-            }),
-            "log" => parparaw::dfa::log::extended_log(),
-            f => {
-                eprintln!("error: unknown format {f}");
-                return ExitCode::from(2);
+    let dfa = match (args.format, &args.dfa_spec) {
+        (Some(dfa), _) => dfa,
+        (None, Some(path)) => {
+            let text = match std::fs::read_to_string(path) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("error: {path}: {e}");
+                    return ExitCode::from(1);
+                }
+            };
+            match parparaw::dfa::spec::parse_spec(&text) {
+                Ok(d) => d,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::from(2);
+                }
             }
         }
+        (None, None) => unreachable!("parse_args sets one of them"),
     };
 
     let options = ParserOptions {
@@ -334,8 +340,8 @@ fn main() -> ExitCode {
         _ => String::new(),
     };
 
-    match args.out.as_str() {
-        "summary" => {
+    match args.out {
+        Out::Summary => {
             println!("{stats_line}");
             println!("{}", table.pretty(args.head));
             if args.stats {
@@ -345,9 +351,9 @@ fn main() -> ExitCode {
                 }
             }
         }
-        "csv" | "ipc" => {
-            let out = match args.out.as_str() {
-                "csv" => write_csv(&table, &CsvWriteOptions::default()),
+        Out::Csv | Out::Ipc => {
+            let out = match args.out {
+                Out::Csv => write_csv(&table, &CsvWriteOptions::default()),
                 _ => ipc::write_table(&table),
             };
             if let Err(e) = emit(&out, args.out_path.as_deref()) {
@@ -355,10 +361,6 @@ fn main() -> ExitCode {
                 eprintln!("error: write {to}: {e}");
                 return ExitCode::from(1);
             }
-        }
-        o => {
-            eprintln!("error: unknown output {o}");
-            return ExitCode::from(2);
         }
     }
     ExitCode::SUCCESS

@@ -1,6 +1,6 @@
-//! The `parparaw` binary end to end: exit codes for bad sizes and failed
-//! writes, and byte-identical IPC output from a monolithic and a streamed
-//! parse.
+//! The `parparaw` binary end to end: exit codes for usage errors, bad
+//! sizes and failed writes, and byte-identical IPC output from a
+//! monolithic and a streamed parse.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -81,6 +81,23 @@ fn stream_sizes_below_one_byte_exit_2() {
     // One byte is the smallest size a stream accepts.
     let out = parparaw(&[input, "--stream", "1"]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
+}
+
+#[test]
+fn usage_errors_exit_2_before_the_input_is_read() {
+    let dir = Scratch::new("usage");
+    let missing = dir.0.join("missing.csv");
+    let missing = missing.to_str().unwrap();
+    for (flag, value, message) in [
+        ("--out", "bogus", "unknown output bogus"),
+        ("--format", "bogus", "unknown format bogus"),
+    ] {
+        let out = parparaw(&[missing, flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+        assert!(stderr.contains("usage:"), "{flag} {value}: {stderr}");
+    }
 }
 
 #[test]

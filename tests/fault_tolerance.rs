@@ -64,7 +64,11 @@ fn injected_faults_are_invisible_in_parse_stream() {
     assert!(faulty.total_retries() >= faulty.total_injected_faults());
     // Per-partition reports carry the fault accounting.
     assert_eq!(
-        faulty.partitions.iter().map(|p| p.retries).sum::<u64>(),
+        faulty
+            .partitions
+            .iter()
+            .map(|p| p.timings.retries)
+            .sum::<u64>(),
         faulty.total_retries()
     );
 }
@@ -193,6 +197,56 @@ fn stall_timeout_degrade_and_resume_is_byte_identical() {
             "tagging {tagging:?}: resumed stream must be byte-identical"
         );
     }
+}
+
+#[test]
+fn stall_past_every_deadline_times_out_every_entry_point() {
+    use std::time::Duration;
+    // Every launch attempt, degraded ones included, stalls past its
+    // deadline: no entry point can finish, and each must report the
+    // timeout rather than drop the caller's deadline to get through.
+    let input = make_input(2000);
+    let dfa = rfc4180(&CsvDialect::default());
+    let psize = 16 * 1024;
+    let mut o = base_opts()
+        .retry(RetryPolicy::attempts(2))
+        .launch_deadline(Duration::from_millis(5));
+    o.fault_injection = Some(FaultInjection::stalls(7, 1.0, Duration::from_millis(40)));
+    let p = Parser::new(dfa.clone(), o);
+
+    let err = p.parse(&input).unwrap_err();
+    assert!(err.is_timeout(), "parse: {err}");
+    let err = p.parse_stream(&input, psize).unwrap_err();
+    assert!(err.is_timeout(), "parse_stream: {err}");
+    let interrupted = p.parse_stream_resumable(&input, psize, None).unwrap_err();
+    assert!(
+        interrupted.error.is_timeout(),
+        "parse_stream_resumable: {}",
+        interrupted.error
+    );
+    let mut it = p.partitions(&input, psize);
+    let err = it
+        .by_ref()
+        .find_map(Result::err)
+        .expect("the iterator fails");
+    assert!(err.is_timeout(), "partitions: {err}");
+    assert!(it.next().is_none(), "the iterator ends at its error");
+    assert_eq!(it.checkpoint(), &interrupted.checkpoint);
+
+    // The checkpoint, resumed with the injector off, gives the clean
+    // stream.
+    let clean = Parser::new(dfa, base_opts());
+    let resumed = clean
+        .parse_stream_resumable(&input, psize, Some(interrupted.checkpoint))
+        .unwrap();
+    let parts: Vec<&Table> = [&interrupted.completed.table, &resumed.table]
+        .into_iter()
+        .filter(|t| t.num_rows() > 0)
+        .collect();
+    assert_eq!(
+        Table::concat(&parts).unwrap(),
+        clean.parse_stream(&input, psize).unwrap().table
+    );
 }
 
 #[test]
