@@ -7,8 +7,9 @@
 //! 1. **raw launch overhead** — back-to-back trivial launches, reported
 //!    as microseconds per launch;
 //! 2. **small-partition streaming** — `parse_stream` with deliberately
-//!    small partitions, the workload where per-launch thread start-up
-//!    dominated before the pool (every partition re-runs all five phases).
+//!    small partitions (every partition re-runs all five phases). Each
+//!    window is a 1-worker parse whose launches run inline, so the launch
+//!    mode only changes how each batch of windows is dispatched.
 //!
 //! Usage: `cargo run --release -p parparaw-bench --bin executor_bench
 //! [--bytes 8M] [--partition 64K] [--workers N]`

@@ -199,87 +199,58 @@ impl Column {
     /// Concatenate columns of identical type into one. Returns an error on
     /// type mismatch (including decimal scale).
     pub fn concat(parts: &[&Column]) -> Result<Column, String> {
-        let first = parts.first().ok_or("cannot concat zero columns")?;
-        let dtype = first.data_type();
-        for p in parts {
-            if p.data_type() != dtype {
-                return Err(format!(
-                    "type mismatch in concat: {} vs {}",
-                    p.data_type(),
-                    dtype
-                ));
+        let (first, rest) = parts.split_first().ok_or("cannot concat zero columns")?;
+        let mut out = (*first).clone();
+        for p in rest {
+            out.append(p)?;
+        }
+        Ok(out)
+    }
+
+    /// Append `other`'s rows. Returns an error on type mismatch (including
+    /// decimal scale). The result has validity if either side has nulls.
+    pub fn append(&mut self, other: &Column) -> Result<(), String> {
+        if other.data_type() != self.data_type() {
+            return Err(format!(
+                "type mismatch in concat: {} vs {}",
+                other.data_type(),
+                self.data_type()
+            ));
+        }
+        if self.validity.is_some() || other.null_count() > 0 {
+            let n = self.len();
+            let v = self
+                .validity
+                .get_or_insert_with(|| Validity::with_len(n, true));
+            for i in 0..other.len() {
+                v.push(other.is_valid(i));
             }
         }
-        // Validity: present in the output if any part has nulls.
-        let total: usize = parts.iter().map(|p| p.len()).sum();
-        let needs_validity = parts.iter().any(|p| p.null_count() > 0);
-        let validity = needs_validity.then(|| {
-            let mut v = Validity::new();
-            for p in parts {
-                for i in 0..p.len() {
-                    v.push(p.is_valid(i));
-                }
+        use ColumnData as D;
+        match (&mut self.data, &other.data) {
+            (D::Boolean(a), D::Boolean(b)) => a.extend_from_slice(b),
+            (D::Int8(a), D::Int8(b)) => a.extend_from_slice(b),
+            (D::Int16(a), D::Int16(b)) => a.extend_from_slice(b),
+            (D::Int32(a), D::Int32(b)) | (D::Date32(a), D::Date32(b)) => a.extend_from_slice(b),
+            (D::Int64(a), D::Int64(b)) | (D::TimestampMicros(a), D::TimestampMicros(b)) => {
+                a.extend_from_slice(b)
             }
-            v
-        });
-        let _ = total;
-
-        macro_rules! cat_fixed {
-            ($variant:ident) => {{
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match p.data() {
-                        ColumnData::$variant(v) => out.extend_from_slice(v),
-                        _ => unreachable!("type checked above"),
-                    }
-                }
-                ColumnData::$variant(out)
-            }};
+            (D::Float64(a), D::Float64(b)) => a.extend_from_slice(b),
+            (D::Decimal128(a, _), D::Decimal128(b, _)) => a.extend_from_slice(b),
+            (
+                D::Utf8 { offsets, values },
+                D::Utf8 {
+                    offsets: po,
+                    values: pv,
+                },
+            ) => {
+                let base = values.len() as u64;
+                values.extend_from_slice(pv);
+                offsets.extend(po.iter().skip(1).map(|&o| base + o));
+            }
+            _ => unreachable!("type checked above"),
         }
-
-        let data = match first.data() {
-            ColumnData::Boolean(_) => cat_fixed!(Boolean),
-            ColumnData::Int8(_) => cat_fixed!(Int8),
-            ColumnData::Int16(_) => cat_fixed!(Int16),
-            ColumnData::Int32(_) => cat_fixed!(Int32),
-            ColumnData::Int64(_) => cat_fixed!(Int64),
-            ColumnData::Float64(_) => cat_fixed!(Float64),
-            ColumnData::Date32(_) => cat_fixed!(Date32),
-            ColumnData::TimestampMicros(_) => cat_fixed!(TimestampMicros),
-            ColumnData::Decimal128(_, scale) => {
-                let scale = *scale;
-                let mut out = Vec::with_capacity(total);
-                for p in parts {
-                    match p.data() {
-                        ColumnData::Decimal128(v, _) => out.extend_from_slice(v),
-                        _ => unreachable!(),
-                    }
-                }
-                ColumnData::Decimal128(out, scale)
-            }
-            ColumnData::Utf8 { .. } => {
-                let mut offsets = Vec::with_capacity(total + 1);
-                let mut values = Vec::new();
-                offsets.push(0u64);
-                for p in parts {
-                    match p.data() {
-                        ColumnData::Utf8 {
-                            offsets: po,
-                            values: pv,
-                        } => {
-                            let base = values.len() as u64;
-                            values.extend_from_slice(pv);
-                            for w in po.windows(2) {
-                                offsets.push(base + w[1]);
-                            }
-                        }
-                        _ => unreachable!(),
-                    }
-                }
-                ColumnData::Utf8 { offsets, values }
-            }
-        };
-        Column::new(data, validity)
+        Ok(())
     }
 }
 
@@ -360,6 +331,28 @@ mod tests {
             None
         )
         .is_err());
+    }
+
+    #[test]
+    fn append_keeps_values_offsets_and_nulls() {
+        let mut c = Column::from_strings(&["ab", "c"]);
+        let mut v = Validity::with_len(2, true);
+        v.set(0, false);
+        let nullable = Column::new(
+            ColumnData::Utf8 {
+                offsets: vec![0, 0, 3],
+                values: b"xyz".to_vec(),
+            },
+            Some(v),
+        )
+        .unwrap();
+        c.append(&nullable).unwrap();
+        c.append(&Column::from_strings(&["q"])).unwrap();
+        let got: Vec<Value> = (0..c.len()).map(|i| c.value(i)).collect();
+        let s = |t: &str| Value::Utf8(t.into());
+        assert_eq!(got, [s("ab"), s("c"), Value::Null, s("xyz"), s("q")]);
+        assert_eq!(c.null_count(), 1);
+        assert!(c.append(&Column::from_i64(vec![1], None)).is_err());
     }
 
     #[test]

@@ -151,21 +151,27 @@ impl Table {
 }
 
 impl Table {
-    /// Concatenate tables with identical schemas (the streaming path glues
-    /// per-partition tables back together with this).
+    /// Concatenate tables with identical schemas.
     pub fn concat(parts: &[&Table]) -> Result<Table, String> {
-        let first = parts.first().ok_or("cannot concat zero tables")?;
-        for p in parts {
-            if p.schema() != first.schema() {
-                return Err("schema mismatch in concat".to_string());
-            }
+        let (first, rest) = parts.split_first().ok_or("cannot concat zero tables")?;
+        let mut out = (*first).clone();
+        for p in rest {
+            out.append(p)?;
         }
-        let mut columns = Vec::with_capacity(first.num_columns());
-        for c in 0..first.num_columns() {
-            let cols: Vec<&Column> = parts.iter().map(|p| p.column(c)).collect();
-            columns.push(Column::concat(&cols)?);
+        Ok(out)
+    }
+
+    /// Append `other`'s rows; the schemas must be equal (the streaming
+    /// path glues per-partition tables together with this).
+    pub fn append(&mut self, other: &Table) -> Result<(), String> {
+        if other.schema() != self.schema() {
+            return Err("schema mismatch in concat".to_string());
         }
-        Table::new(first.schema().clone(), columns)
+        for (c, o) in self.columns.iter_mut().zip(other.columns()) {
+            c.append(o)?;
+        }
+        self.num_rows += other.num_rows;
+        Ok(())
     }
 }
 

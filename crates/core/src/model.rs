@@ -87,7 +87,9 @@ impl Parser {
     /// per-chunk grid, and return the modelled work instead of the table.
     pub fn model(&self, input: &[u8]) -> Result<ParseModel, ParseError> {
         let exec = self.options().build_executor();
-        let out = self.parse_with(&exec, input, false, None, true)?.out;
+        let out = self
+            .parse_with(&exec, input, false, None, true, &|_| {})?
+            .out;
         let cost = CostModel::new(self.options().device.clone());
         let simulated =
             SimulatedTimings::from_profiles(&cost, &out.profiles, out.stats.input_bytes);
@@ -104,24 +106,24 @@ impl Parser {
         input: &[u8],
         partition_size: usize,
     ) -> Result<StreamModel, ParseError> {
-        let exec = self.options().build_executor();
         let mut cursor = StreamCursor::new(self, partition_size, None).modelled();
         let cost = CostModel::new(self.options().device.clone());
         let mut partitions = Vec::new();
-        while let Some(batch) = cursor.step(&exec, input) {
-            let batch = batch?;
-            let r = &batch.report;
-            partitions.push(PartitionModel {
-                input_bytes: r.input_bytes,
-                carry_bytes: r.carry_bytes,
-                output_bytes: r.output_bytes,
-                parse_seconds_simulated: SimulatedTimings::from_profiles(
-                    &cost,
-                    &batch.profiles,
-                    r.input_bytes + r.carry_bytes,
-                )
-                .total_seconds,
-            });
+        while let Some(parts) = cursor.step(input) {
+            for part in parts? {
+                let r = &part.report;
+                partitions.push(PartitionModel {
+                    input_bytes: r.input_bytes,
+                    carry_bytes: r.carry_bytes,
+                    output_bytes: r.output_bytes,
+                    parse_seconds_simulated: SimulatedTimings::from_profiles(
+                        &cost,
+                        &part.profiles,
+                        r.input_bytes + r.carry_bytes,
+                    )
+                    .total_seconds,
+                });
+            }
         }
         Ok(StreamModel { partitions })
     }

@@ -71,7 +71,9 @@ impl Parser {
     /// Parse `input` into a columnar table.
     pub fn parse(&self, input: &[u8]) -> Result<ParseOutput, ParseError> {
         let exec = self.options.build_executor();
-        Ok(self.parse_with(&exec, input, false, None, false)?.out)
+        Ok(self
+            .parse_with(&exec, input, false, None, false, &|_| {})?
+            .out)
     }
 
     /// Run the full pipeline on an explicit executor. The streaming path
@@ -85,6 +87,10 @@ impl Parser {
     /// diagnostics then count from the stream start. With `model`, the
     /// run takes the paper's per-chunk grid: the per-chunk pass 1 and one
     /// pass-2 range per chunk (see [`crate::model`]).
+    ///
+    /// `on_advance` hears how far the run takes a stream as soon as that
+    /// is known: after pass 2 and the skip list, before tagging. A stream
+    /// starts the next window from it while this one is still converting.
     pub(crate) fn parse_with(
         &self,
         exec: &KernelExecutor,
@@ -92,6 +98,7 @@ impl Parser {
         drop_trailing: bool,
         stream: Option<&Checkpoint>,
         model: bool,
+        on_advance: &dyn Fn(Advance),
     ) -> Result<Parsed, ParseError> {
         let o = &self.options;
         let cs = o.chunk_size;
@@ -241,6 +248,12 @@ impl Parser {
         }
         skip.sort_unstable();
         let num_out_rows = meta.num_records - skip.len() as u64;
+        let advance = Advance {
+            carry_len,
+            records,
+            rows: num_out_rows,
+        };
+        on_advance(advance);
 
         // Phase 3: tagging. Every reject the kernel marks also lands in
         // the bounded diagnostic sink, placed after the header and any
@@ -467,22 +480,30 @@ impl Parser {
                 timings,
                 profiles,
             },
-            carry_len,
-            records,
+            advance,
             schema,
         })
     }
 }
 
-/// One pipeline run plus what a stream needs to continue after it.
-pub(crate) struct Parsed {
-    pub(crate) out: ParseOutput,
+/// How far one pipeline run takes a stream.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Advance {
     /// Bytes after the last record delimiter, deferred to the next
     /// partition (0 unless `drop_trailing`).
     pub(crate) carry_len: usize,
     /// Records consumed, skipped ones included; a deferred trailing
     /// record is not.
     pub(crate) records: u64,
+    /// Rows the run emits.
+    pub(crate) rows: u64,
+}
+
+/// One pipeline run plus what a stream needs to continue after it.
+pub(crate) struct Parsed {
+    pub(crate) out: ParseOutput,
+    /// How far the run takes a stream.
+    pub(crate) advance: Advance,
     /// Without a configured schema, the raw-width schema this run inferred
     /// (see [`crate::streaming`] on freezing it).
     pub(crate) schema: Option<Schema>,
@@ -820,10 +841,14 @@ mod tests {
         let input = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\"\n";
         let parser = Parser::new(rfc4180(&CsvDialect::default()), opts());
         let exec = KernelExecutor::new(Grid::new(2));
-        parser.parse_with(&exec, input, false, None, false).unwrap();
+        parser
+            .parse_with(&exec, input, false, None, false, &|_| {})
+            .unwrap();
         let (_, misses_first) = exec.arena().stats();
         assert!(misses_first > 0, "first run allocates fresh");
-        parser.parse_with(&exec, input, false, None, false).unwrap();
+        parser
+            .parse_with(&exec, input, false, None, false, &|_| {})
+            .unwrap();
         // Stats reset at the start of each run, so the second run's
         // counters stand alone: all takes hit, nothing allocated.
         let (hits, misses_second) = exec.arena().stats();

@@ -13,29 +13,42 @@
 //! between partitions (the carry's offset, header, frozen schema,
 //! stream-global diagnostics and `skip_records`, the arena-budget ladder,
 //! the [`Checkpoint`]). [`Parser::parse_stream_resumable`] and
-//! [`Parser::partitions`] run the same cursor step on the calling thread;
-//! they differ only in whether the batches are collected or yielded.
+//! [`Parser::partitions`] run the same cursor step; they differ only in
+//! whether the partitions are collected or yielded.
 //!
-//! Each window is one [`Parser::parse`]-style run on the stream's
-//! executor, so a stream recovers from launch faults exactly as `parse`
-//! does: through the executor's retry→degrade ladder, under the caller's
-//! deadline, budget and fault injector. A launch error that outlives the
-//! ladder ends the stream like a fired cancel token, at the last
-//! [`Checkpoint`].
+//! As the paper overlaps whole partitions rather than splitting each one,
+//! a step parses a batch of windows side by side on the stream's worker
+//! pool, each window a 1-worker parse on its worker's own executor (its
+//! own arena, the caller's retry policy, deadline, fault injection, cancel
+//! token and memory budget). A window needs only where its carry starts,
+//! which its predecessor knows once its pass 2 is done, so each window's
+//! pass 2 overlaps its predecessor's tagging, partition and convert. A
+//! batch commits in window order and all or nothing, so a fired cancel
+//! token stops every entry point at one [`Checkpoint`].
 //!
-//! [`Parser::model_stream`] runs the same cursor on the paper's per-chunk
-//! grid (see [`crate::model`]), so the simulated device can replay the Fig. 7
-//! transfer/parse/return overlap over the PCIe link model
+//! Each window is one [`Parser::parse`]-style run, so a stream recovers
+//! from launch faults exactly as `parse` does: through the executor's
+//! retry→degrade ladder, under the caller's deadline, budget and fault
+//! injector. A launch error that outlives the ladder ends the stream like
+//! a fired cancel token, at the last [`Checkpoint`].
+//!
+//! [`Parser::model_stream`] runs the same cursor one window at a time on
+//! the paper's per-chunk grid (see [`crate::model`]), so the simulated
+//! device can replay the Fig. 7 transfer/parse/return overlap over the
+//! PCIe link model
 //! ([`StreamModel::streaming_plan`](crate::StreamModel::streaming_plan)).
 
 use crate::diag::RecordDiagnostic;
 use crate::error::ParseError;
-use crate::options::ErrorPolicy;
-use crate::pipeline::{split_header, Parsed, Parser};
+use crate::options::{ErrorPolicy, ParserOptions};
+use crate::pipeline::{split_header, Advance, Parsed, Parser};
 use crate::timings::PhaseTimings;
 use parparaw_columnar::{Schema, Table};
 use parparaw_device::WorkProfile;
-use parparaw_parallel::KernelExecutor;
+use parparaw_parallel::{Grid, KernelExecutor};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The partition-size degradation floor: under arena budget pressure the
@@ -53,7 +66,9 @@ pub struct PartitionReport {
     pub carry_bytes: u64,
     /// Columnar output bytes returned.
     pub output_bytes: u64,
-    /// Wall-clock parse time on this host.
+    /// Wall-clock parse time on this host. Windows parse side by side, so
+    /// the partitions' `parse_wall`s overlap and their sum can exceed the
+    /// stream's [`StreamedOutput::wall`].
     pub parse_wall: Duration,
     /// Records produced by this partition.
     pub records: u64,
@@ -84,7 +99,9 @@ pub struct StreamedOutput {
     pub diagnostics: Vec<RecordDiagnostic>,
     /// Diagnostics dropped at the per-partition cap.
     pub dropped_diagnostics: u64,
-    /// End-to-end wall-clock time of the stream on this host.
+    /// End-to-end wall-clock time of the stream on this host. The
+    /// partitions parse side by side, so the sum of their
+    /// [`PartitionReport::parse_wall`]s can exceed it.
     pub wall: Duration,
 }
 
@@ -187,7 +204,7 @@ impl std::error::Error for StreamInterrupted {
 }
 
 /// One partition's output from the cursor, diagnostics stream-global.
-pub(crate) struct Batch {
+pub(crate) struct Partition {
     table: Table,
     pub(crate) report: PartitionReport,
     /// The work profile of every launch that parsed the partition.
@@ -195,16 +212,176 @@ pub(crate) struct Batch {
     diagnostics: Vec<RecordDiagnostic>,
     rejected: u64,
     dropped_diagnostics: u64,
+    /// Where a resumed stream restarts once this partition is emitted.
+    checkpoint: Checkpoint,
+    /// This is the stream's last partition.
+    is_last: bool,
+}
+
+/// Windows per worker in one batch. A batch drains its pipeline before it
+/// commits, so workers idle at each batch's start and end; more windows
+/// per batch spread that over more work, but hold more parsed output
+/// before it is emitted and coarsen the checkpoint after a cancel. On 16
+/// MiB of yelp in 256 KiB windows on 2 workers (a 2-vCPU host), 4 windows
+/// per worker took 90 ms, 8 took 77–84 ms and 16 no less (EXPERIMENTS.md).
+const WINDOWS_PER_WORKER: usize = 8;
+
+/// One window's new bytes `pos..end`. Its carry starts where its
+/// predecessor's run left the stream, which the window learns only once
+/// that run's pass 2 is done.
+struct Cut {
+    pos: usize,
+    end: usize,
+    /// Bytes of the stream header split off the window's front; they
+    /// count as carry.
+    header: usize,
+}
+
+/// Where the stream stands before a window.
+#[derive(Debug, Clone, Copy)]
+struct Position {
+    resume_offset: u64,
+    records_consumed: u64,
+    rows_emitted: u64,
+}
+
+impl Position {
+    fn of(c: &Checkpoint) -> Self {
+        Position {
+            resume_offset: c.resume_offset,
+            records_consumed: c.records_consumed,
+            rows_emitted: c.rows_emitted,
+        }
+    }
+
+    /// Where the stream stands after a window of `work_len` bytes starting
+    /// here.
+    fn after(self, work_len: usize, a: Advance) -> Self {
+        Position {
+            resume_offset: self.resume_offset + (work_len - a.carry_len) as u64,
+            records_consumed: self.records_consumed + a.records,
+            rows_emitted: self.rows_emitted + a.rows,
+        }
+    }
+
+    fn apply(self, c: &mut Checkpoint) {
+        c.resume_offset = self.resume_offset;
+        c.records_consumed = self.records_consumed;
+        c.rows_emitted = self.rows_emitted;
+    }
+}
+
+/// Hands each window of a batch its start position: slot `i` is where
+/// window `i` starts, published by window `i - 1` as soon as its pass 2
+/// is done. Windows are claimed in order, so a worker only ever waits on
+/// a window a running worker already holds.
+struct Relay {
+    next: AtomicUsize,
+    /// Set by the first failure: no further window is claimed. Only a
+    /// hint: a window claimed after it parses for nothing, and one whose
+    /// predecessor failed learns so from its slot.
+    stopped: AtomicBool,
+    /// `None` until published; `Some(None)` when the predecessor failed.
+    slots: Mutex<Vec<Option<Option<Position>>>>,
+    ready: Condvar,
+}
+
+impl Relay {
+    fn new(windows: usize, start: Position) -> Self {
+        let mut slots = vec![None; windows + 1];
+        slots[0] = Some(Some(start));
+        Relay {
+            next: AtomicUsize::new(0),
+            stopped: AtomicBool::new(false),
+            slots: Mutex::new(slots),
+            ready: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Vec<Option<Option<Position>>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claim no further window: the batch has failed.
+    fn stop(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
+    }
+
+    /// The next window in order, unless the batch has stopped.
+    fn claim(&self, windows: usize) -> Option<usize> {
+        if self.stopped.load(Ordering::Relaxed) {
+            return None;
+        }
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < windows).then_some(i)
+    }
+
+    /// Window `i`'s start, once published; `None` when its predecessor
+    /// failed.
+    fn wait(&self, i: usize) -> Option<Position> {
+        let mut slots = self.lock();
+        loop {
+            if let Some(at) = slots[i] {
+                return at;
+            }
+            slots = self
+                .ready
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Publish slot `i` (first write wins: a failure after the position
+    /// is out changes nothing for the successor).
+    fn publish(&self, i: usize, at: Option<Position>) {
+        let mut slots = self.lock();
+        if slots[i].is_none() {
+            slots[i] = Some(at);
+            self.ready.notify_all();
+        }
+    }
+}
+
+/// Fails window `i`'s successor unless `i` published first, also when
+/// the window unwinds, so no worker waits forever.
+struct Handoff<'a> {
+    relay: &'a Relay,
+    i: usize,
+}
+
+impl Drop for Handoff<'_> {
+    fn drop(&mut self) {
+        self.relay.publish(self.i + 1, None);
+    }
+}
+
+/// One window's run, before the cursor commits it.
+struct Run {
+    parsed: Result<Parsed, ParseError>,
+    /// The window's bytes, carry included.
+    work_len: usize,
+    parse_wall: Duration,
+    /// When a failed run failed, counted across the batch.
+    failed_at: usize,
 }
 
 /// The streaming engine behind every streaming entry point: it cuts
 /// windows of the caller's input, in order, and turns them into
-/// [`Batch`]es.
+/// [`Partition`]s.
 ///
-/// Each window is `input[state.resume_offset..min(pos + partition_size,
-/// len)]`: the carry (the unfinished record after the last window, still
-/// in the input) plus the next partition's new bytes. The cursor copies
-/// no input bytes.
+/// Each window is `input[resume_offset..min(pos + partition_size, len)]`:
+/// the carry (the unfinished record after the previous window, still in
+/// the input) plus the next partition's new bytes. The cursor copies no
+/// input bytes.
+///
+/// A step parses a batch of windows side by side, one 1-worker parse per
+/// stream worker, and commits the batch in window order, all or nothing.
+/// A window starts once its predecessor's pass 2 has fixed where the
+/// carry begins, so a window's pass 2 overlaps its predecessor's tagging,
+/// partition and convert. A batch is one window until the schema is
+/// fixed and the header split, under a memory budget (so a budget
+/// step-down applies from the next window), in the model, and on one
+/// worker.
 ///
 /// Without a configured schema, the first partition with rows is parsed
 /// with type inference and its *raw-width* schema is frozen for the rest
@@ -216,6 +393,10 @@ pub(crate) struct StreamCursor {
     /// Header-free parser; its schema is the configured one or, once
     /// frozen, the inferred one.
     parser: Parser,
+    /// One 1-worker executor per stream worker, each with its own arena
+    /// and the caller's retry policy, deadline, fault injection, cancel
+    /// token and memory budget.
+    execs: Vec<KernelExecutor>,
     /// Where the stream stands after the last partition; its
     /// `resume_offset` is where the carry starts.
     state: Checkpoint,
@@ -224,7 +405,7 @@ pub(crate) struct StreamCursor {
     /// The end of the last window: the carry is
     /// `input[state.resume_offset..pos]`.
     pos: usize,
-    /// The last window was parsed, or a step failed.
+    /// The last window was cut, or a step failed.
     done: bool,
     /// The budget ladder's lowest partition size.
     floor: usize,
@@ -254,7 +435,14 @@ impl StreamCursor {
         if state.schema.is_some() {
             opts.schema = state.schema.clone();
         }
+        let one = ParserOptions {
+            grid: Grid::with_mode(1, opts.grid.mode()),
+            ..opts.clone()
+        };
         StreamCursor {
+            execs: (0..opts.grid.workers())
+                .map(|_| one.build_executor())
+                .collect(),
             parser: Parser::new(parser.dfa().clone(), opts),
             pos: state.resume_offset as usize,
             done: false,
@@ -277,60 +465,165 @@ impl StreamCursor {
         &self.checkpoint
     }
 
-    /// Parse the next window of `input` (the same input on every call).
-    /// `None` once the last window is parsed or a step has failed.
-    pub(crate) fn step(
-        &mut self,
-        exec: &KernelExecutor,
-        input: &[u8],
-    ) -> Option<Result<Batch, ParseError>> {
+    /// Parse the next batch of windows of `input` (the same input on
+    /// every call). `None` once the last window is parsed or a step has
+    /// failed.
+    pub(crate) fn step(&mut self, input: &[u8]) -> Option<Result<Vec<Partition>, ParseError>> {
         if self.done {
             return None;
         }
-        let batch = self.parse_next(exec, input);
-        self.done |= batch.is_err();
-        Some(batch)
+        let parts = self.parse_next(input);
+        self.done |= parts.is_err();
+        Some(parts)
     }
 
-    fn parse_next(&mut self, exec: &KernelExecutor, input: &[u8]) -> Result<Batch, ParseError> {
+    /// How many windows the next batch holds at most.
+    fn batch_width(&self) -> usize {
+        let o = self.parser.options();
+        let single = self.model
+            || self.execs.len() == 1
+            || o.schema.is_none()
+            || !self.state.header_done
+            || o.memory_budget.is_some();
+        if single {
+            1
+        } else {
+            WINDOWS_PER_WORKER * self.execs.len()
+        }
+    }
+
+    /// The next window's new bytes `pos..end` of an input of `len` bytes.
+    fn next_cut(&mut self, len: usize) -> (usize, usize) {
+        let pos = self.pos.min(len);
+        let end = (pos + self.state.partition_size.max(1)).min(len);
+        self.pos = end;
+        self.done = end == len;
+        (pos, end)
+    }
+
+    fn parse_next(&mut self, input: &[u8]) -> Result<Vec<Partition>, ParseError> {
         // Row pruning is whole-input: its indexes don't translate to
         // partition-local rows, and the carry is sliced from unpruned
         // bytes.
         if !self.parser.options().skip_rows.is_empty() {
             return Err(ParseError::SkipRowsInStreaming);
         }
+        let width = self.batch_width();
         // Cut windows until one has a complete stream header: until then
         // every window is carried whole.
-        let (work, carry_bytes, input_bytes) = loop {
-            let pos = self.pos.min(input.len());
-            let end = (pos + self.state.partition_size.max(1)).min(input.len());
+        let mut cuts = vec![loop {
+            let (pos, end) = self.next_cut(input.len());
             let from = (self.state.resume_offset as usize).min(pos);
-            self.pos = end;
-            self.done = end == input.len();
-            let window = &input[from..end];
-            let carry_bytes = (pos - from) as u64;
-            let input_bytes = (end - pos) as u64;
             if self.state.header_done {
-                break (window, carry_bytes, input_bytes);
+                break Cut {
+                    pos,
+                    end,
+                    header: 0,
+                };
             }
-            if let Some((names, at)) = split_header(self.parser.dfa(), window, self.done) {
+            if let Some((names, at)) = split_header(self.parser.dfa(), &input[from..end], self.done)
+            {
                 self.state.header_names = Some(names);
                 self.state.header_done = true;
                 self.state.resume_offset += at as u64;
-                break (&window[at..], carry_bytes, input_bytes);
+                break Cut {
+                    pos,
+                    end,
+                    header: at,
+                };
             }
-        };
-        let is_last = self.done;
-        let started = Instant::now();
+        }];
+        while cuts.len() < width && !self.done {
+            let (pos, end) = self.next_cut(input.len());
+            cuts.push(Cut {
+                pos,
+                end,
+                header: 0,
+            });
+        }
+
+        let runs = self.run_batch(input, &cuts);
+        if let Some(error) = first_error(&runs) {
+            return Err(error);
+        }
+        let last = cuts.len() - 1;
+        runs.into_iter()
+            .zip(&cuts)
+            .enumerate()
+            .map(|(i, (run, cut))| self.commit(run, cut, self.done && i == last))
+            .collect()
+    }
+
+    /// Parse `cuts` side by side, one window per worker at a time, on the
+    /// caller's pool (inline for a single window). A window that was never
+    /// claimed, or whose predecessor failed, has no run.
+    fn run_batch(&self, input: &[u8], cuts: &[Cut]) -> Vec<Option<Run>> {
+        let n = cuts.len();
+        let relay = Relay::new(n, Position::of(&self.state));
+        let failures = AtomicUsize::new(0);
+        let runs: Vec<Mutex<Option<Run>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let workers = n.min(self.execs.len());
+        self.parser.options().grid.run_partitioned(workers, |w, _| {
+            let exec = &self.execs[w];
+            while let Some(i) = relay.claim(n) {
+                let handoff = Handoff { relay: &relay, i };
+                let Some(at) = relay.wait(i) else {
+                    relay.stop();
+                    continue;
+                };
+                let cut = &cuts[i];
+                let is_last = self.done && i == n - 1;
+                let work = &input[at.resume_offset as usize..cut.end];
+                let mut stream = self.state.clone();
+                at.apply(&mut stream);
+                let started = Instant::now();
+                let parsed =
+                    self.parser
+                        .parse_with(exec, work, !is_last, Some(&stream), self.model, &|a| {
+                            relay.publish(i + 1, Some(at.after(work.len(), a)))
+                        });
+                let parse_wall = started.elapsed();
+                drop(handoff);
+                let failed_at = if parsed.is_err() {
+                    relay.stop();
+                    failures.fetch_add(1, Ordering::Relaxed)
+                } else {
+                    0
+                };
+                *runs[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(Run {
+                    parsed,
+                    work_len: work.len(),
+                    parse_wall,
+                    failed_at,
+                });
+            }
+        });
+        runs.into_iter()
+            .map(|r| r.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
+    }
+
+    /// Advance the stream past one parsed window and turn it into a
+    /// [`Partition`].
+    fn commit(
+        &mut self,
+        run: Option<Run>,
+        cut: &Cut,
+        is_last: bool,
+    ) -> Result<Partition, ParseError> {
+        let Run {
+            parsed,
+            work_len,
+            parse_wall,
+            ..
+        } = run.expect("a committed batch ran every window");
         let Parsed {
             out,
-            carry_len,
-            records,
+            advance,
             schema,
-        } = self
-            .parser
-            .parse_with(exec, work, !is_last, Some(&self.state), self.model)?;
-        let parse_wall = started.elapsed();
+        } = parsed?;
+        let carry_bytes = (cut.pos + cut.header - self.state.resume_offset as usize) as u64;
+        let input_bytes = (cut.end - cut.pos) as u64;
 
         if let (Some(schema), true) = (schema, out.stats.num_records > 0) {
             let mut opts = self.parser.options().clone();
@@ -338,9 +631,9 @@ impl StreamCursor {
             self.parser = Parser::new(self.parser.dfa().clone(), opts);
             self.state.schema = Some(schema);
         }
-        self.state.rows_emitted += out.stats.num_records;
-        self.state.records_consumed += records;
-        self.state.resume_offset += (work.len() - carry_len) as u64;
+        Position::of(&self.state)
+            .after(work_len, advance)
+            .apply(&mut self.state);
         self.state.partitions_emitted += 1;
 
         // Arena budget pressure since the last partition means the pool
@@ -348,7 +641,7 @@ impl StreamCursor {
         // size for partitions not yet cut instead of allocating past the
         // cap. At the floor the budget is advisory under the permissive
         // policy and fatal under Strict.
-        let pressure = exec.arena().pressure_events();
+        let pressure = self.execs.iter().map(|e| e.arena().pressure_events()).sum();
         let mut budget_degraded = false;
         if pressure > self.last_pressure {
             self.last_pressure = pressure;
@@ -371,7 +664,7 @@ impl StreamCursor {
             self.checkpoint = self.state.clone();
         }
 
-        Ok(Batch {
+        Ok(Partition {
             report: PartitionReport {
                 input_bytes,
                 carry_bytes,
@@ -387,24 +680,66 @@ impl StreamCursor {
             diagnostics: out.diagnostics,
             rejected: out.stats.rejected_records,
             dropped_diagnostics: out.stats.dropped_diagnostics,
+            checkpoint: self.checkpoint.clone(),
+            is_last,
         })
     }
 }
 
-/// Concatenate a stream's batches. Zero-row batches (fully carried over)
-/// may predate the schema freeze; they contribute nothing, so drop them.
-/// A stream without rows returns its last batch, as the iterator does.
-fn concat(mut tables: Vec<Table>) -> Table {
-    let refs: Vec<&Table> = tables.iter().filter(|t| t.num_rows() > 0).collect();
-    if refs.is_empty() {
-        return tables.pop().unwrap_or_else(Table::empty);
+/// The error a failed batch reports: the earliest window's, as a stream
+/// of one window at a time would. A fired cancel token fails every window
+/// still running, though, so when every failure is a cancel the batch
+/// reports the one that came first.
+fn first_error(runs: &[Option<Run>]) -> Option<ParseError> {
+    let failed = runs.iter().enumerate().filter_map(|(i, r)| {
+        let r = r.as_ref()?;
+        let e = r.parsed.as_ref().err()?;
+        Some((
+            e.is_cancelled(),
+            if e.is_cancelled() { r.failed_at } else { i },
+            e,
+        ))
+    });
+    failed
+        .min_by_key(|&(cancelled, order, _)| (cancelled, order))
+        .map(|(_, _, e)| e.clone())
+}
+
+/// A stream's table so far. Zero-row partitions (fully carried over) may
+/// predate the schema freeze; they contribute nothing, so they are
+/// dropped, and a stream without rows returns its last partition, as the
+/// iterator does.
+#[derive(Default)]
+struct Concat {
+    rows: Option<Table>,
+    last: Option<Table>,
+}
+
+impl Concat {
+    fn push(&mut self, table: Table) {
+        if table.num_rows() == 0 {
+            self.last = Some(table);
+            return;
+        }
+        match &mut self.rows {
+            Some(rows) => rows
+                .append(&table)
+                .expect("partitions share the fixed schema"),
+            // A copy, so the output grows in the calling thread's memory
+            // and every window's table is freed as its batch commits.
+            None => self.rows = Some(table.clone()),
+        }
     }
-    Table::concat(&refs).expect("partitions share the fixed schema")
+
+    fn finish(self) -> Table {
+        self.rows.or(self.last).unwrap_or_else(Table::empty)
+    }
 }
 
 impl Parser {
     /// Parse `input` as a stream of `partition_size`-byte partitions with
-    /// carry-over, each parsed in place as a window of `input`.
+    /// carry-over, each parsed in place as a window of `input`, side by
+    /// side on the configured workers.
     ///
     /// When no schema is configured, the first partition with rows is
     /// parsed with type inference and its inferred schema is fixed for the
@@ -443,12 +778,8 @@ impl Parser {
         resume: Option<Checkpoint>,
     ) -> Result<StreamedOutput, Box<StreamInterrupted>> {
         let t0 = Instant::now();
-        // One executor for the whole stream: its worker pool persists
-        // across partitions and its arena recycles the parse buffers, so
-        // steady-state streaming does near-zero allocation.
-        let exec = self.options().build_executor();
         let mut cursor = StreamCursor::new(self, partition_size, resume);
-        let mut tables = Vec::new();
+        let mut table = Concat::default();
         let mut completed = StreamedOutput {
             table: Table::empty(),
             partitions: Vec::new(),
@@ -458,21 +789,23 @@ impl Parser {
             wall: Duration::ZERO,
         };
         let error = loop {
-            match cursor.step(&exec, input) {
+            match cursor.step(input) {
                 None => break None,
                 Some(Err(e)) => break Some(e),
-                Some(Ok(b)) => {
-                    tables.push(b.table);
-                    completed.partitions.push(b.report);
-                    completed.rejected_records += b.rejected;
-                    completed.diagnostics.extend(b.diagnostics);
-                    completed.dropped_diagnostics += b.dropped_diagnostics;
+                Some(Ok(parts)) => {
+                    for p in parts {
+                        table.push(p.table);
+                        completed.partitions.push(p.report);
+                        completed.rejected_records += p.rejected;
+                        completed.diagnostics.extend(p.diagnostics);
+                        completed.dropped_diagnostics += p.dropped_diagnostics;
+                    }
                 }
             }
         };
         // The full stream on success, the completed prefix on
         // interruption.
-        completed.table = concat(tables);
+        completed.table = table.finish();
         completed.wall = t0.elapsed();
         match error {
             None => Ok(completed),
@@ -486,12 +819,16 @@ impl Parser {
 
     /// Iterate the input partition by partition (paper §4.4's pipeline as
     /// a consumer-driven iterator): the same cursor as
-    /// [`Parser::parse_stream`], one batch per `next()`.
+    /// [`Parser::parse_stream`]. Each committed batch of windows is
+    /// yielded one partition per `next()`, and the checkpoint advances
+    /// with every partition yielded.
     pub fn partitions<'a>(&self, input: &'a [u8], partition_size: usize) -> PartitionIter<'a> {
+        let cursor = StreamCursor::new(self, partition_size, None);
         PartitionIter {
-            exec: self.options().build_executor(),
-            cursor: StreamCursor::new(self, partition_size, None),
+            checkpoint: cursor.checkpoint().clone(),
+            cursor,
             input,
+            queue: VecDeque::new(),
             diagnostics: Vec::new(),
         }
     }
@@ -506,9 +843,12 @@ impl Parser {
 /// here too: after an error the iterator ends, and
 /// [`PartitionIter::checkpoint`] says where to resume.
 pub struct PartitionIter<'a> {
-    exec: KernelExecutor,
     cursor: StreamCursor,
     input: &'a [u8],
+    /// The committed batch's partitions not yet yielded.
+    queue: VecDeque<Partition>,
+    /// The checkpoint after the last partition taken from the queue.
+    checkpoint: Checkpoint,
     diagnostics: Vec<RecordDiagnostic>,
 }
 
@@ -529,7 +869,7 @@ impl PartitionIter<'_> {
     /// Where [`Parser::parse_stream_resumable`] would pick this stream up:
     /// the last batch boundary at which the schema was fixed.
     pub fn checkpoint(&self) -> &Checkpoint {
-        self.cursor.checkpoint()
+        &self.checkpoint
     }
 }
 
@@ -539,15 +879,19 @@ impl Iterator for PartitionIter<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         self.diagnostics.clear();
         loop {
-            let batch = match self.cursor.step(&self.exec, self.input)? {
-                Ok(batch) => batch,
-                Err(e) => return Some(Err(e)),
+            let Some(part) = self.queue.pop_front() else {
+                match self.cursor.step(self.input)? {
+                    Ok(parts) => self.queue.extend(parts),
+                    Err(e) => return Some(Err(e)),
+                }
+                continue;
             };
-            self.diagnostics.extend(batch.diagnostics);
+            self.checkpoint = part.checkpoint;
+            self.diagnostics.extend(part.diagnostics);
             // A fully carried-over partition yields nothing: pull more
             // input.
-            if batch.table.num_rows() > 0 || self.cursor.done {
-                return Some(Ok(batch.table));
+            if part.table.num_rows() > 0 || part.is_last {
+                return Some(Ok(part.table));
             }
         }
     }

@@ -9,7 +9,7 @@
 use parparaw::columnar::ipc;
 use parparaw::prelude::*;
 use parparaw::workloads::yelp;
-use parparaw_core::{Checkpoint, RecordDiagnostic};
+use parparaw_core::{Checkpoint, RecordDiagnostic, StreamedOutput};
 
 fn schema() -> Schema {
     yelp::schema()
@@ -323,5 +323,117 @@ fn drivers_agree_across_the_option_matrix() {
                 );
             }
         }
+    }
+}
+
+/// What a stream reports per partition that must not depend on how many
+/// windows run side by side.
+fn cuts(out: &StreamedOutput) -> Vec<(u64, u64, u64, u64, usize)> {
+    out.partitions
+        .iter()
+        .map(|r| {
+            (
+                r.input_bytes,
+                r.carry_bytes,
+                r.records,
+                r.output_bytes,
+                r.partition_size,
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn side_by_side_windows_match_the_one_worker_stream() {
+    // Windows run side by side, one per worker, each a 1-worker parse; 8
+    // workers on a small host also covers an oversubscribed pool.
+    let input = yelp::generate(300 << 10, 5);
+    for mode in [
+        TaggingMode::inline_default(),
+        TaggingMode::VectorDelimited,
+        TaggingMode::RecordTagged,
+    ] {
+        for window in [37usize, 4 << 10, 64 << 10] {
+            let one = parser(1, mode).parse_stream(&input, window).unwrap();
+            for workers in [2usize, 3, 8] {
+                let ctx = format!("mode {mode:?}, window {window}, workers {workers}");
+                let out = parser(workers, mode).parse_stream(&input, window).unwrap();
+                assert_eq!(out.table, one.table, "{ctx}: table");
+                assert_eq!(out.diagnostics, one.diagnostics, "{ctx}: diagnostics");
+                assert_eq!(out.rejected_records, one.rejected_records, "{ctx}");
+                assert_eq!(cuts(&out), cuts(&one), "{ctx}: partition reports");
+            }
+        }
+    }
+}
+
+#[test]
+fn cancel_checkpoints_are_deterministic_with_windows_side_by_side() {
+    // One narrow column, so a sweep of launch counts crosses batches of
+    // side-by-side windows on 2 and 3 workers.
+    let input: Vec<u8> = (0..1500)
+        .map(|i| format!("{i}\n"))
+        .collect::<String>()
+        .into_bytes();
+    let psize = 64;
+    for workers in [2usize, 3] {
+        let o = ParserOptions {
+            grid: Grid::new(workers),
+            ..ParserOptions::default()
+        };
+        let p = csv_parser(o.clone());
+        let clean = p.parse_stream(&input, psize).unwrap();
+        let cancelling = |n: u64| {
+            let mut oc = o.clone();
+            oc.cancel = Some(CancelToken::after_launches(n));
+            csv_parser(oc)
+        };
+        for n in (1..=250u64).step_by(7) {
+            let ctx = format!("workers {workers}, n {n}");
+            let mut seen: Option<Checkpoint> = None;
+            for _ in 0..5 {
+                let stream = cancelling(n).parse_stream_resumable(&input, psize, None);
+                let mut it = cancelling(n).partitions(&input, psize);
+                let error = it.by_ref().find_map(Result::err);
+                let Err(interrupted) = stream else {
+                    assert!(error.is_none(), "{ctx}: only the iterator failed");
+                    continue;
+                };
+                assert!(interrupted.error.is_cancelled(), "{ctx}");
+                assert!(error.expect("the iterator cancels").is_cancelled(), "{ctx}");
+                assert_eq!(it.checkpoint(), &interrupted.checkpoint, "{ctx}");
+                if let Some(seen) = &seen {
+                    assert_eq!(seen, &interrupted.checkpoint, "{ctx}: repetitions");
+                }
+                seen = Some(interrupted.checkpoint.clone());
+                let resumed = p
+                    .parse_stream_resumable(&input, psize, Some(interrupted.checkpoint))
+                    .unwrap();
+                assert_eq!(
+                    concat(vec![interrupted.completed.table, resumed.table]),
+                    clean.table,
+                    "{ctx}: resumed table"
+                );
+            }
+        }
+
+        // The iterator yields a committed batch one partition at a time,
+        // and its checkpoint follows the partitions it yielded.
+        let mut it = p.partitions(&input, psize);
+        let first = it
+            .by_ref()
+            .map(Result::unwrap)
+            .find(|t| t.num_rows() > 0)
+            .unwrap();
+        let checkpoint = it.checkpoint().clone();
+        assert_eq!(checkpoint.rows_emitted, first.num_rows() as u64);
+        let rest = p
+            .parse_stream_resumable(&input, psize, Some(checkpoint))
+            .unwrap();
+        assert_eq!(
+            concat(vec![first, rest.table]),
+            clean.table,
+            "workers {workers}: resumed iterator"
+        );
     }
 }
