@@ -25,9 +25,9 @@ pub struct SeqContextOutput {
     pub output: ParseOutput,
     /// Wall time of the sequential context pass alone.
     pub context_wall: Duration,
-    /// The work profiles with context determination replaced by serial
-    /// work (feed these to the cost model instead of
-    /// `output.profiles`).
+    /// The modelled work profiles ([`Parser::model`]'s, on the paper's
+    /// per-chunk grid) with context determination replaced by serial work
+    /// (feed these to the cost model instead of `output.profiles`).
     pub profiles: Vec<WorkProfile>,
 }
 
@@ -82,8 +82,9 @@ impl SeqContextGpuParser {
         );
 
         // Swap the context-determination profiles for the serial pass.
-        // The parse's other profiles are what `Parser::model` charges:
-        // the model differs from the parse only in pass 1's lane count.
+        // The other profiles are `Parser::model`'s, as in ParPaRaw's own
+        // row: the paper's per-chunk grid, not the host's worker ranges.
+        let modelled = self.inner.model(input)?;
         let mut profiles: Vec<WorkProfile> = Vec::new();
         let mut ctx_profile = WorkProfile::new("parse/seq-context");
         ctx_profile.kernel_launches = 1;
@@ -92,12 +93,12 @@ impl SeqContextGpuParser {
         // Row fetch + state update per byte on one device thread.
         ctx_profile.serial_ops = input.len() as u64 * 2;
         profiles.push(ctx_profile);
-        for p in &output.profiles {
-            if p.label == "parse/pass1" || p.label == "scan/context" {
-                continue;
-            }
-            profiles.push(p.clone());
-        }
+        profiles.extend(
+            modelled
+                .profiles
+                .into_iter()
+                .filter(|p| p.label != "parse/pass1" && p.label != "scan/context"),
+        );
 
         Ok(SeqContextOutput {
             output,
@@ -148,6 +149,32 @@ mod tests {
             .unwrap();
         assert_eq!(ctx.serial_ops, 20_000);
         assert!(out.profiles.iter().all(|p| p.label != "parse/pass1"));
+    }
+
+    #[test]
+    fn profiles_are_the_model_on_any_worker_count() {
+        let input: Vec<u8> = (0..2000)
+            .flat_map(|i| format!("{i},\"q {i},\nx\",{}.5\n", i % 9).into_bytes())
+            .collect();
+        let dfa = rfc4180(&CsvDialect::default());
+        let mut one_worker: Option<Vec<WorkProfile>> = None;
+        for workers in [1usize, 2, 3] {
+            let opts = ParserOptions {
+                grid: Grid::new(workers),
+                ..ParserOptions::default()
+            };
+            let out = SeqContextGpuParser::new(dfa.clone(), opts.clone())
+                .parse(&input)
+                .unwrap();
+            let model = Parser::new(dfa.clone(), opts).model(&input).unwrap();
+            let want: Vec<&WorkProfile> = model.profiles[2..].iter().collect();
+            let got: Vec<&WorkProfile> = out.profiles[1..].iter().collect();
+            assert_eq!(model.profiles[0].label, "parse/pass1");
+            assert_eq!(model.profiles[1].label, "scan/context");
+            assert_eq!(got, want, "workers {workers}");
+            let first = one_worker.get_or_insert_with(|| out.profiles.clone());
+            assert_eq!(&out.profiles, first, "workers {workers}");
+        }
     }
 
     #[test]

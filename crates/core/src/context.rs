@@ -33,18 +33,16 @@
 //!
 //! The chunk (`chunk_size`, 31 B by default) stays the unit of abort
 //! polling: every piece polls once per chunk. The launches charge the
-//! paper's per-chunk traffic but no lane count. [`determine_contexts_fast`]
-//! is the paper's per-chunk kernel: it resolves every chunk's start state
-//! and charges `parse/pass1` the lane count of
-//! [`Dfa::transition_vector_fast`], [`Dfa::fast_lane_ops`] summed over
-//! every chunk. It is the test and bench reference, and the pass 1 that
-//! [`Parser::model`](crate::Parser::model) runs before walking one pass-2
-//! range per chunk (see [`crate::model`]).
+//! paper's per-chunk traffic, and its lane count ([`Dfa::fast_lane_ops`]
+//! over every chunk, as [`Dfa::transition_vector_fast`] counts it) exactly
+//! when every range is one chunk: the paper's grid, which
+//! [`Parser::model`](crate::Parser::model) runs (see [`crate::model`]).
 //!
-//! Both kernels run as instrumented [`KernelExecutor`] launches
-//! (`parse/pass1` and `scan/context`); wall time and work counters land in
-//! the executor's launch log instead of being threaded through the return
-//! value.
+//! This is the only pass-1 kernel: [`determine_contexts_fast`], the
+//! per-chunk pass 1 that tests and benches compare against, runs it on one
+//! range per chunk. Both launches (`parse/pass1`, `scan/context`) are
+//! instrumented [`KernelExecutor`] launches, so wall time and work counters
+//! land in the executor's launch log.
 
 use crate::chunks::{num_chunks, tile};
 use crate::options::ScanAlgorithm;
@@ -53,6 +51,7 @@ use parparaw_parallel::grid::SlotWriter;
 use parparaw_parallel::scan::ScanOp;
 use parparaw_parallel::{grid, lookback, scan, Grid, KernelExecutor, LaunchError};
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The result of context determination.
 #[derive(Debug)]
@@ -74,27 +73,12 @@ pub fn determine_contexts(grid: &Grid, dfa: &Dfa, input: &[u8], chunk_size: usiz
         .expect("context kernels cannot fail without fault injection")
 }
 
-/// One worker range's pass-1 walk.
-#[derive(Debug, Clone)]
-struct RangeWalk<'d> {
-    /// The range's chunks.
-    chunks: Range<usize>,
-    /// The walk after the range's last byte.
-    walk: LaneWalk<'d>,
-    /// First chunk whose recorded image is a collapsed one.
-    collapsed_from: usize,
-    /// Σ [`Dfa::fast_lane_ops`] over the range's chunks.
-    ops: u64,
-}
-
-/// The per-chunk reference of pass 1: every chunk's start state, on the
-/// fast lane (per-byte tables + convergence collapse; see
-/// `parparaw_dfa::table`), optionally stepping the collapsed loop two
-/// bytes at a time through a precomposed [`PairTable`]. It walks one
-/// [`LaneWalk`] per worker range, records the walk's image at every chunk
-/// start, and charges `parse/pass1` the per-chunk kernel's lane count.
-/// Tests and benches compare against it and the model runs it; a parse
-/// runs [`range_start_states`].
+/// The per-chunk pass 1: every chunk's start state and the input's final
+/// state. It is [`range_start_states`] on the paper's grid, one range per
+/// chunk, so `parse/pass1` charges the per-chunk lane count; the final
+/// state steps the last chunk from its start. Tests, benches and the
+/// traced bench rebuild read it; a parse resolves only its worker ranges'
+/// starts.
 pub fn determine_contexts_fast(
     exec: &KernelExecutor,
     dfa: &Dfa,
@@ -103,95 +87,27 @@ pub fn determine_contexts_fast(
     algorithm: ScanAlgorithm,
     pair: Option<&PairTable>,
 ) -> Result<ContextPass, LaunchError> {
-    let n = input.len();
     let cs = chunk_size.max(1);
-    let n_chunks = num_chunks(n, cs);
-
-    // Kernel 1: one walk per worker range, recording the walk's image at
-    // every chunk start. The counter is the per-chunk kernel's: full
-    // width only until a chunk's own image collapses, then one op per
-    // live state — so the cost replay sees the modelled 31 B threads.
-    let (images, walks) = exec.launch("parse/pass1", n_chunks, |grid, counters| {
-        counters.bytes_read = n as u64;
-        counters.bytes_written = (n_chunks * 8) as u64;
-        let parts = grid.partition(n_chunks);
-        let mut images = vec![0u64; n_chunks];
-        let mut walks: Vec<Option<RangeWalk>> = vec![None; parts.len()];
-        {
-            let image_w = SlotWriter::new(&mut images);
-            let walk_w = SlotWriter::new(&mut walks);
-            grid.run_partitioned(n_chunks, |w, chunks| {
-                let mut walk = LaneWalk::new(dfa, pair);
-                let mut collapsed_from = chunks.end;
-                let mut ops = 0u64;
-                for c in chunks.clone() {
-                    grid.check_abort(c);
-                    if walk.is_collapsed() {
-                        collapsed_from = collapsed_from.min(c);
-                    }
-                    // SAFETY: `run_partitioned` hands each chunk index to
-                    // exactly one worker.
-                    unsafe { image_w.write(c, walk.image()) };
-                    let (lo, hi) = (c * cs, ((c + 1) * cs).min(n));
-                    ops += dfa.fast_lane_ops(&input[lo..hi], pair.is_some());
-                    walk.step(input, lo, hi);
-                }
-                let range = RangeWalk {
-                    chunks,
-                    walk,
-                    collapsed_from,
-                    ops,
-                };
-                // SAFETY: one slot per worker range, written by its worker.
-                unsafe { walk_w.write(w, Some(range)) };
-            });
-        }
-        let walks: Vec<RangeWalk> = walks.into_iter().flatten().collect();
-        counters.parallel_ops = walks.iter().map(|r| r.ops).sum();
-        (images, walks)
-    })?;
-
-    // Kernel 2: exclusive scan of the range vectors under the composite
-    // operator, then every chunk's start state from its recorded image.
-    let start = dfa.start_state();
-    let (start_states, final_state) = exec.launch("scan/context", n_chunks, |grid, counters| {
-        counters.kernel_launches = 3; // upsweep, spine, downsweep
-        counters.bytes_read = (n_chunks * 8) as u64 * 2;
-        counters.bytes_written = (n_chunks * 8) as u64 + n_chunks as u64;
-        counters.parallel_ops = n_chunks as u64 * dfa.num_states() as u64 * 2;
-
-        let vectors: Vec<StateVector> = walks.iter().map(|r| r.walk.vector()).collect();
-        let (scanned, total) = scan_vectors(grid, &vectors, dfa.num_states(), algorithm);
-
-        let mut start_states = vec![0u8; n_chunks];
-        {
-            let state_w = SlotWriter::new(&mut start_states);
-            grid.run_partitioned(walks.len(), |_, ranges| {
-                for (r, prefix) in walks[ranges.clone()].iter().zip(&scanned[ranges]) {
-                    let from = prefix.get(start);
-                    for c in r.chunks.clone() {
-                        grid.check_abort(c);
-                        let collapsed = c >= r.collapsed_from;
-                        let state = r.walk.resolve(images[c], collapsed, from);
-                        // SAFETY: worker ranges are disjoint and each is
-                        // expanded by one worker.
-                        unsafe { state_w.write(c, state) };
-                    }
-                }
-            });
-        }
-        let final_state = if n_chunks == 0 {
-            start
-        } else {
-            total.get(start)
-        };
-        (start_states, final_state)
-    })?;
-
+    let n_chunks = num_chunks(input.len(), cs);
+    let ranges = grid::partition(n_chunks, n_chunks);
+    let mut start_states = range_start_states(exec, dfa, input, cs, &ranges, algorithm, pair)?;
+    // With no chunks, the one `0..0` range starts no chunk.
+    start_states.truncate(n_chunks);
+    let final_state = match start_states.last() {
+        Some(&from) => step_lane(dfa, from, &input[(n_chunks - 1) * cs..]),
+        None => dfa.start_state(),
+    };
     Ok(ContextPass {
         start_states,
         final_state,
     })
+}
+
+/// Step one lane from `state` over `bytes`.
+fn step_lane(dfa: &Dfa, state: u8, bytes: &[u8]) -> u8 {
+    bytes
+        .iter()
+        .fold(state, |s, &b| Dfa::next_in_row(dfa.byte_row(b), s))
 }
 
 /// How many times longer pass 1's single-lane piece is than each lane
@@ -268,9 +184,7 @@ fn walk_single(
         if marks.next_if_eq(&&c).is_some() {
             states.push(state);
         }
-        for &b in &input[c * cs..((c + 1) * cs).min(n)] {
-            state = Dfa::next_in_row(dfa.byte_row(b), state);
-        }
+        state = step_lane(dfa, state, &input[c * cs..((c + 1) * cs).min(n)]);
     }
     Piece::Single { states, end: state }
 }
@@ -301,7 +215,8 @@ fn walk_lanes<'d>(
 }
 
 /// The pipeline's pass 1: the start state of each of pass 2's `ranges`,
-/// walking only up to the last range's first byte (see the
+/// walking only up to the last range's first byte. It charges the
+/// per-chunk lane count when every range is one chunk (see the
 /// [module docs](self)).
 ///
 /// # Panics
@@ -341,10 +256,13 @@ pub fn range_start_states(
     };
 
     // Kernel 1: one walk per piece. The counters charge the per-chunk
-    // kernel's traffic, not its lane count.
+    // kernel's traffic, and its lane count only on the paper's grid.
     let walks = exec.launch("parse/pass1", n_chunks, |grid, counters| {
         counters.bytes_read = n as u64;
         counters.bytes_written = (n_chunks * 8) as u64;
+        if ranges.len() == n_chunks {
+            counters.parallel_ops = per_chunk_lane_ops(grid, dfa, input, cs, pair.is_some());
+        }
         let mut walks: Vec<Option<Piece>> = vec![None; pieces.len()];
         {
             let walk_w = SlotWriter::new(&mut walks);
@@ -400,6 +318,23 @@ pub fn range_start_states(
     })
 }
 
+/// Σ [`Dfa::fast_lane_ops`] over every chunk: the lane count of the
+/// paper's per-chunk [`Dfa::transition_vector_fast`], summed on `grid`.
+fn per_chunk_lane_ops(grid: &Grid, dfa: &Dfa, input: &[u8], cs: usize, pair: bool) -> u64 {
+    let n = input.len();
+    let total = AtomicU64::new(0);
+    grid.run_partitioned(num_chunks(n, cs), |_, chunks| {
+        let ops: u64 = chunks
+            .map(|c| {
+                grid.check_abort(c);
+                dfa.fast_lane_ops(&input[c * cs..((c + 1) * cs).min(n)], pair)
+            })
+            .sum();
+        total.fetch_add(ops, Ordering::Relaxed);
+    });
+    total.into_inner()
+}
+
 /// Exclusive scan of `vectors` under the composite operator with the
 /// configured algorithm, plus the total.
 fn scan_vectors(
@@ -424,8 +359,7 @@ fn scan_vectors(
 
 impl ContextPass {
     /// Whether the whole input leaves the DFA in an accepting state, read
-    /// off the `final_state` the scan produced — used by tests and by
-    /// whole-input validation.
+    /// off `final_state` — used by tests and by whole-input validation.
     pub fn is_accepted_by(&self, dfa: &Dfa) -> bool {
         dfa.is_accepting(self.final_state)
     }
@@ -537,14 +471,13 @@ mod tests {
     }
 
     #[test]
-    fn range_starts_match_the_per_chunk_reference() {
+    fn range_starts_match_sequential_simulation() {
         let dfa = rfc4180_paper();
         let input: Vec<u8> = (0..3000u32)
             .flat_map(|i| format!("{i},\"q{i},\nx\"\n").into_bytes())
             .collect();
         for workers in [1usize, 2, 3, 5] {
             let exec = KernelExecutor::new(Grid::new(workers));
-            let reference = determine_contexts(exec.grid(), &dfa, &input, 13);
             let ranges = exec.grid().partition(num_chunks(input.len(), 13));
             let starts = range_start_states(
                 &exec,
@@ -558,7 +491,7 @@ mod tests {
             .unwrap();
             let want: Vec<u8> = ranges
                 .iter()
-                .map(|r| reference.start_states[r.start])
+                .map(|r| seq_state(&dfa, &input[..r.start * 13], dfa.start_state()))
                 .collect();
             assert_eq!(starts, want, "workers {workers}");
             // Two launches; the parse charges no lane count.

@@ -2,18 +2,17 @@
 //!
 //! A parse records one work profile per host launch, but it walks the
 //! host's grid: pass 1 walks the input once per worker piece (see
-//! [`crate::context`]) without counting lane operations, and pass 2 and
-//! tagging walk one range of chunks per worker. [`Parser::model`] and
-//! [`Parser::model_stream`] run the same pipeline as [`Parser::parse`] and
-//! [`Parser::parse_stream`] on the paper's grid instead, where every 31 B
-//! chunk is one thread (§3.1–3.2). Pass 1 is the per-chunk kernel
-//! [`determine_contexts_fast`](crate::context::determine_contexts_fast),
-//! which charges [`Dfa::fast_lane_ops`](parparaw_dfa::Dfa::fast_lane_ops)
-//! summed over every chunk. Pass 2 walks one range per chunk, so tagging
-//! emits the per-chunk field runs, and the `tag`, `partition` and
-//! `convert/index` counters charge them. The kernels themselves know
-//! nothing of the model: the choice of pass 1 and of the pass-2 ranges is
-//! the only switch. Replayed through the configured device
+//! [`crate::context`]), and pass 2 and tagging walk one range of chunks per
+//! worker. [`Parser::model`] and [`Parser::model_stream`] run the same
+//! pipeline as [`Parser::parse`] and [`Parser::parse_stream`] on the
+//! paper's grid instead, where every 31 B chunk is one thread (§3.1–3.2):
+//! one pass-1 and pass-2 range per chunk. The kernels are the parse's, and
+//! they charge what that grid does. Pass 1 charges
+//! [`Dfa::fast_lane_ops`](parparaw_dfa::Dfa::fast_lane_ops) summed over
+//! every chunk, because every range is one chunk; tagging emits the
+//! per-chunk field runs, and the `tag`, `partition` and `convert/index`
+//! counters charge them. The choice of ranges is the only switch.
+//! Replayed through the configured device
 //! ([`ParserOptions::device`](crate::ParserOptions::device)), these
 //! profiles give the paper-reproduction series of Figs 9–13; they are not
 //! a measurement of this host.
@@ -132,12 +131,12 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::determine_contexts_fast;
     use crate::meta::identify_ranges;
     use crate::options::{ParserOptions, TaggingMode};
     use crate::partition::partition_by_column_with;
     use crate::tagging::{tag_symbols, TagConfig, RUN_BYTES};
     use parparaw_dfa::csv::{rfc4180, CsvDialect};
+    use parparaw_dfa::Dfa;
     use parparaw_parallel::{grid, Grid, KernelExecutor};
 
     fn input() -> Vec<u8> {
@@ -146,14 +145,29 @@ mod tests {
             .collect()
     }
 
+    /// The paper's pass 1, chunk by chunk: every chunk's start state, and
+    /// the lane count of [`Dfa::transition_vector_fast`] summed over the
+    /// chunks.
+    fn per_chunk_pass1(dfa: &Dfa, input: &[u8], cs: usize) -> (Vec<u8>, u64) {
+        let mut state = dfa.start_state();
+        let (mut starts, mut ops) = (Vec::new(), 0);
+        for chunk in input.chunks(cs) {
+            starts.push(state);
+            let (vector, lane_ops) = dfa.transition_vector_fast(chunk, None);
+            state = vector.get(state);
+            ops += lane_ops;
+        }
+        (starts, ops)
+    }
+
     #[test]
     fn model_charges_the_per_chunk_reference_counters() {
-        // The model's pass-1 and pass-2 profiles are the per-chunk
-        // reference kernels' launch records, counter for counter. Its
-        // `tag`, `partition` and `convert/index` profiles charge the runs
-        // tagging emits over one-chunk pass-2 ranges; every other profile
-        // is the parse's. All of them are independent of the host's worker
-        // count.
+        // The model's pass 1 charges the per-chunk lane count, and its
+        // pass-2 profiles are the per-chunk reference kernels' launch
+        // records, counter for counter. Its `tag`, `partition` and
+        // `convert/index` profiles charge the runs tagging emits over
+        // one-chunk pass-2 ranges; every other profile is the parse's. All
+        // of them are independent of the host's worker count.
         let dfa = rfc4180(&CsvDialect::default());
         let input = input();
         let modes = [
@@ -174,16 +188,13 @@ mod tests {
                 let model = parser.model(&input).unwrap();
                 let parsed = parser.parse(&input).unwrap();
 
-                // The reference: the per-chunk pass 1, pass 2 over
-                // one-chunk ranges, and tagging and partition over those.
+                // The reference: the per-chunk pass 1 run chunk by chunk,
+                // pass 2 over one-chunk ranges, and tagging and partition
+                // over those.
+                let (starts, pass1_ops) = per_chunk_pass1(&dfa, &input, cs);
                 let exec = KernelExecutor::new(Grid::new(workers));
-                let ctx =
-                    determine_contexts_fast(&exec, &dfa, &input, cs, opts.scan_algorithm, None)
-                        .unwrap();
-                let n_chunks = ctx.start_states.len();
-                let ranges = grid::partition(n_chunks, n_chunks);
-                let meta =
-                    identify_ranges(&exec, &dfa, &input, cs, &ranges, &ctx.start_states).unwrap();
+                let ranges = grid::partition(starts.len(), starts.len());
+                let meta = identify_ranges(&exec, &dfa, &input, cs, &ranges, &starts).unwrap();
                 let col_map = [Some(0), Some(1), Some(2)];
                 let cfg = TagConfig {
                     mode: opts.tagging,
@@ -224,7 +235,12 @@ mod tests {
                     match m.label.as_str() {
                         "parse/pass1" => {
                             assert_eq!(p.parallel_ops, 0, "{at}");
-                            assert!(m.parallel_ops > 0, "{at}");
+                            assert_eq!(m.parallel_ops, pass1_ops, "{at}");
+                            assert_eq!(
+                                (m.bytes_read, m.bytes_written),
+                                (p.bytes_read, p.bytes_written),
+                                "{at}"
+                            );
                         }
                         // Chunk cuts split fields into more runs than the
                         // parse's worker ranges do.
@@ -238,6 +254,44 @@ mod tests {
                 assert_eq!(sim.total_seconds, model.simulated.total_seconds, "{at}");
                 // The model charges the paper's grid, not the host's: its
                 // profiles do not depend on the worker count.
+                let first = one_worker.get_or_insert_with(|| model.profiles.clone());
+                assert_eq!(&model.profiles, first, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn model_of_fewer_chunks_than_workers_is_the_paper_grid() {
+        // No chunk, one chunk, and fewer chunks than workers: the model's
+        // profiles do not depend on the worker count, its pass 1 charges
+        // the per-chunk lane count, and where every worker range is one
+        // chunk the parse charges exactly what the model does.
+        let dfa = rfc4180(&CsvDialect::default());
+        let cs = 31;
+        let inputs = [
+            &b""[..],
+            b"1,\"a\"\n2,b\n",
+            b"1,\"a\nb\",2.5\n3,\"c\",4.5\n44,d,5\n55,\"e,f\",6.25\n",
+        ];
+        for (input, n_chunks) in inputs.into_iter().zip([0usize, 1, 2]) {
+            assert_eq!(input.len().div_ceil(cs), n_chunks);
+            let (_, pass1_ops) = per_chunk_pass1(&dfa, input, cs);
+            let mut one_worker: Option<Vec<WorkProfile>> = None;
+            for workers in [1usize, 2, 3] {
+                let opts = ParserOptions {
+                    grid: Grid::new(workers),
+                    ..ParserOptions::default()
+                }
+                .chunk_size(cs);
+                let parser = Parser::new(dfa.clone(), opts);
+                let model = parser.model(input).unwrap();
+                let at = format!("{n_chunks} chunks, workers {workers}");
+                let pass1 = model.profiles.iter().find(|p| p.label == "parse/pass1");
+                assert_eq!(pass1.map(|p| p.parallel_ops), Some(pass1_ops), "{at}");
+                if n_chunks <= workers {
+                    let parsed = parser.parse(input).unwrap();
+                    assert_eq!(parsed.profiles, model.profiles, "{at}");
+                }
                 let first = one_worker.get_or_insert_with(|| model.profiles.clone());
                 assert_eq!(&model.profiles, first, "{at}");
             }

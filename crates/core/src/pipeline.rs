@@ -23,7 +23,7 @@
 //!
 //! [`KernelExecutor`]: parparaw_parallel::KernelExecutor
 
-use crate::context::{determine_contexts_fast, range_start_states};
+use crate::context::range_start_states;
 use crate::convert::convert_column_with_diags;
 use crate::css::{index_from_runs, FieldIndex};
 use crate::diag::{DiagSink, RecordDiagnostic, RejectReason};
@@ -85,8 +85,8 @@ impl Parser {
     /// is left for the next partition. `stream` is where the stream stood
     /// before `input` (its header already split off): `skip_records` and
     /// diagnostics then count from the stream start. With `model`, the
-    /// run takes the paper's per-chunk grid: the per-chunk pass 1 and one
-    /// pass-2 range per chunk (see [`crate::model`]).
+    /// run takes the paper's per-chunk grid: one pass-1 and pass-2 range
+    /// per chunk (see [`crate::model`]).
     ///
     /// `on_advance` hears how far the run takes a stream as soon as that
     /// is known: after pass 2 and the skip list, before tagging. A stream
@@ -140,37 +140,24 @@ impl Parser {
 
         // Phases 1+2: the start state of each pass-2 range, then the
         // bitmaps and metadata (which end in the input's final state).
-        // The model runs the paper's grid: the per-chunk pass 1, then one
-        // pass-2 range per chunk, so every later launch charges the
+        // The model runs the paper's grid, one range per chunk, so pass 1
+        // charges the per-chunk lane count and every later launch the
         // per-chunk runs.
         let n_chunks = crate::chunks::num_chunks(input.len(), cs);
-        let (ranges, starts) = if model {
-            let ctx = determine_contexts_fast(
-                exec,
-                &self.dfa,
-                input,
-                cs,
-                o.scan_algorithm,
-                self.pair.as_ref(),
-            )?;
-            let mut starts = ctx.start_states;
-            if starts.is_empty() {
-                starts.push(self.dfa.start_state()); // the `0..0` range
-            }
-            (grid::partition(n_chunks, n_chunks), starts)
+        let ranges = if model {
+            grid::partition(n_chunks, n_chunks)
         } else {
-            let ranges = exec.grid().partition(n_chunks);
-            let starts = range_start_states(
-                exec,
-                &self.dfa,
-                input,
-                cs,
-                &ranges,
-                o.scan_algorithm,
-                self.pair.as_ref(),
-            )?;
-            (ranges, starts)
+            exec.grid().partition(n_chunks)
         };
+        let starts = range_start_states(
+            exec,
+            &self.dfa,
+            input,
+            cs,
+            &ranges,
+            o.scan_algorithm,
+            self.pair.as_ref(),
+        )?;
         let meta = identify_ranges(exec, &self.dfa, input, cs, &ranges, &starts)?;
         let input_valid = self.dfa.is_accepting(meta.final_state);
 

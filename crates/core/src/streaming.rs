@@ -32,8 +32,8 @@
 //! injector. A launch error that outlives the ladder ends the stream like
 //! a fired cancel token, at the last [`Checkpoint`].
 //!
-//! [`Parser::model_stream`] runs the same cursor one window at a time on
-//! the paper's per-chunk grid (see [`crate::model`]), so the simulated
+//! [`Parser::model_stream`] runs the same cursor, with the same batches,
+//! on the paper's per-chunk grid (see [`crate::model`]), so the simulated
 //! device can replay the Fig. 7 transfer/parse/return overlap over the
 //! PCIe link model
 //! ([`StreamModel::streaming_plan`](crate::StreamModel::streaming_plan)).
@@ -380,8 +380,7 @@ struct Run {
 /// carry begins, so a window's pass 2 overlaps its predecessor's tagging,
 /// partition and convert. A batch is one window until the schema is
 /// fixed and the header split, under a memory budget (so a budget
-/// step-down applies from the next window), in the model, and on one
-/// worker.
+/// step-down applies from the next window), and on one worker.
 ///
 /// Without a configured schema, the first partition with rows is parsed
 /// with type inference and its *raw-width* schema is frozen for the rest
@@ -480,8 +479,7 @@ impl StreamCursor {
     /// How many windows the next batch holds at most.
     fn batch_width(&self) -> usize {
         let o = self.parser.options();
-        let single = self.model
-            || self.execs.len() == 1
+        let single = self.execs.len() == 1
             || o.schema.is_none()
             || !self.state.header_done
             || o.memory_budget.is_some();

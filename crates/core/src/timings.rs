@@ -200,11 +200,12 @@ pub struct ParseOutput {
     /// Wall-clock phase timings on this host.
     pub timings: PhaseTimings,
     /// The work profile of every kernel launch, one per host launch,
-    /// charging the host's own walk: `parse/pass1` charges no lane ops,
-    /// and the `tag`, `partition` and `convert/index` counters charge the
-    /// field runs of the host's worker ranges. The per-chunk counts of the
-    /// paper's grid come from [`Parser::model`](crate::Parser::model),
-    /// whose profiles feed the device cost model.
+    /// charging the host's worker ranges: the one pass-1 kernel charges
+    /// the per-chunk lane count only when every range is one chunk, and
+    /// the `tag`, `partition` and `convert/index` counters charge the
+    /// ranges' field runs. [`Parser::model`](crate::Parser::model) runs
+    /// the same kernels on one range per chunk (the paper's grid); its
+    /// profiles feed the device cost model.
     pub profiles: Vec<WorkProfile>,
 }
 
