@@ -8,7 +8,7 @@
 //! `cargo bench -p parparaw-bench --bench ablations`. Pass `--json` to
 //! also write `BENCH_ablations.json` to the working directory.
 
-use parparaw_bench::{arg_flag, bench_ms, launch_mode_name, report};
+use parparaw_bench::{arg_flag, bench_ms, report};
 use parparaw_dfa::csv::rfc4180_paper;
 use parparaw_dfa::{Mfira, PairTable, SwarMatcher};
 use parparaw_parallel::executor::BufferArena;
@@ -272,11 +272,7 @@ fn main() {
     );
 
     if arg_flag("--json") {
-        let mut json = String::from("{\n  \"harness\": \"ablations\",\n");
-        json.push_str(&format!(
-            "  \"launch_mode\": {},\n  \"rows\": [\n",
-            report::json_str(launch_mode_name())
-        ));
+        let mut json = String::from("{\n  \"harness\": \"ablations\",\n  \"rows\": [\n");
         for (i, (g, n, ms)) in rows.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"group\": {}, \"variant\": {}, \"ms\": {}}}{}\n",

@@ -277,10 +277,6 @@ pub fn to_json(
     out.push_str("  \"harness\": \"fig09\",\n");
     out.push_str(&format!("  \"bytes\": {bytes},\n"));
     out.push_str(&format!("  \"workers\": {workers},\n"));
-    out.push_str(&format!(
-        "  \"launch_mode\": {},\n",
-        json_str(crate::launch_mode_name())
-    ));
     out.push_str("  \"default_chunk_size\": 31,\n");
     out.push_str(&format!(
         "  \"cancel_overhead\": {{ \"dataset\": {}, \"bytes\": {}, \"baseline_ms\": {}, \
@@ -410,7 +406,6 @@ mod tests {
         assert!(json.contains("\"partition_radix_wall_ms\""));
         assert!(json.contains("\"convert_wall_ms\""));
         assert!(json.contains("\"bytes_per_sec\""));
-        assert!(json.contains("\"launch_mode\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }

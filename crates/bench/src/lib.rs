@@ -99,15 +99,6 @@ pub fn arg_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// The launch mode this process runs under, as the string machine
-/// consumers of the JSON reports see (`"persistent"` or `"spawn"`).
-pub fn launch_mode_name() -> &'static str {
-    match parparaw_parallel::default_launch_mode() {
-        parparaw_parallel::LaunchMode::Persistent => "persistent",
-        parparaw_parallel::LaunchMode::SpawnPerLaunch => "spawn",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -209,8 +209,8 @@ pub struct ParserOptions {
     /// Abort the parse with [`crate::ParseError::TooManyRejects`] once
     /// more than this many records reject. `None` is unbounded.
     pub max_rejects: Option<u64>,
-    /// Retry policy for kernel launches (attempts and the degradation
-    /// point from the persistent pool to spawn-per-launch).
+    /// Retry policy for kernel launches: how many attempts a launch
+    /// gets. Every retry runs on a fresh worker pool.
     pub retry: RetryPolicy,
     /// Optional deterministic fault injection, for testing retries.
     pub fault_injection: Option<FaultInjection>,
@@ -222,7 +222,7 @@ pub struct ParserOptions {
     pub cancel: Option<CancelToken>,
     /// Per-launch deadline enforced by a watchdog thread. An attempt
     /// running past it unwinds cooperatively and is retried per `retry`
-    /// (retry → degrade-to-spawn → fail), with expiries counted in
+    /// (retry on a fresh pool → fail), with expiries counted in
     /// [`crate::PhaseTimings::timeouts`]. `None` (default) = unbounded.
     pub launch_deadline: Option<Duration>,
     /// Byte cap for the executor's scratch [`parparaw_parallel::BufferArena`].

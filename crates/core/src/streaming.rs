@@ -28,9 +28,9 @@
 //!
 //! Each window is one [`Parser::parse`]-style run, so a stream recovers
 //! from launch faults exactly as `parse` does: through the executor's
-//! retry→degrade ladder, under the caller's deadline, budget and fault
-//! injector. A launch error that outlives the ladder ends the stream like
-//! a fired cancel token, at the last [`Checkpoint`].
+//! retries (each on a fresh pool), under the caller's deadline, budget
+//! and fault injector. A launch error that outlives the retries ends the
+//! stream like a fired cancel token, at the last [`Checkpoint`].
 //!
 //! [`Parser::model_stream`] runs the same cursor, with the same batches,
 //! on the paper's per-chunk grid (see [`crate::model`]), so the simulated
@@ -435,7 +435,7 @@ impl StreamCursor {
             opts.schema = state.schema.clone();
         }
         let one = ParserOptions {
-            grid: Grid::with_mode(1, opts.grid.mode()),
+            grid: Grid::new(1),
             ..opts.clone()
         };
         StreamCursor {
@@ -493,7 +493,10 @@ impl StreamCursor {
     /// The next window's new bytes `pos..end` of an input of `len` bytes.
     fn next_cut(&mut self, len: usize) -> (usize, usize) {
         let pos = self.pos.min(len);
-        let end = (pos + self.state.partition_size.max(1)).min(len);
+        // `partition_size` may come from a caller-built `Checkpoint`.
+        let end = pos
+            .saturating_add(self.state.partition_size.max(1))
+            .min(len);
         self.pos = end;
         self.done = end == len;
         (pos, end)

@@ -23,8 +23,8 @@ pub struct PhaseTimings {
     /// Launch attempts beyond the first, across all phases (the
     /// fault-tolerance retries of the executor).
     pub retries: u64,
-    /// Launches that degraded from the persistent pool to
-    /// spawn-per-launch after repeated failure.
+    /// Launches whose retries ran on the executor's fresh fallback
+    /// pool after a failed attempt.
     pub degraded_launches: u64,
     /// Faults injected by a configured
     /// [`FaultInjector`](parparaw_parallel::FaultInjector).

@@ -20,7 +20,7 @@ use parparaw_core::tagging::{tag_symbols, FieldRun, TagConfig};
 use parparaw_core::{ScanAlgorithm, TaggingMode};
 use parparaw_dfa::csv::{rfc4180, rfc4180_paper, CsvDialect};
 use parparaw_dfa::{Dfa, DfaBuilder, Emit};
-use parparaw_parallel::{grid, Bitmap, Grid, KernelExecutor, LaunchMode, SplitMix64};
+use parparaw_parallel::{grid, Bitmap, Grid, KernelExecutor, SplitMix64};
 
 fn meta_on(exec: &KernelExecutor, dfa: &Dfa, input: &[u8], chunk_size: usize) -> MetaPass {
     let ctx = determine_contexts_fast(exec, dfa, input, chunk_size, ScanAlgorithm::Blocked, None)
@@ -259,68 +259,66 @@ fn word_walk_matches_byte_reference() {
     ];
     // What the cases exercised, so the comparison cannot pass vacuously.
     let (mut splits, mut rejects, mut clashes) = (0, 0, 0);
-    for lm in [LaunchMode::Persistent, LaunchMode::SpawnPerLaunch] {
-        for workers in [1usize, 2, 4] {
-            let exec = KernelExecutor::new(Grid::with_mode(workers, lm));
-            for (d, dfa) in dfas.iter().enumerate() {
-                for (k, input) in inputs.iter().enumerate() {
-                    for cs in [1usize, 3, 31, 63, 64, 65, 200] {
-                        let meta = meta_on(&exec, dfa, input, cs);
-                        let chunk_meta = per_chunk_meta(&exec, dfa, input, cs);
-                        let last = meta.num_records.saturating_sub(1);
-                        let mut skip: Vec<u64> = vec![0, 2, 3, 7, last];
-                        skip.retain(|&r| r < meta.num_records);
-                        skip.sort_unstable();
-                        skip.dedup();
-                        let identity = [Some(0), Some(1), Some(2)];
-                        let sparse = [Some(0), None, Some(1)];
-                        for mode in modes {
-                            let plain = TagConfig {
-                                mode,
-                                col_map: &identity,
-                                skip_records: &[],
-                                expected_columns: None,
-                                num_out_rows: meta.num_records,
-                                diags: None,
+    for workers in [1usize, 2, 4] {
+        let exec = KernelExecutor::new(Grid::new(workers));
+        for (d, dfa) in dfas.iter().enumerate() {
+            for (k, input) in inputs.iter().enumerate() {
+                for cs in [1usize, 3, 31, 63, 64, 65, 200] {
+                    let meta = meta_on(&exec, dfa, input, cs);
+                    let chunk_meta = per_chunk_meta(&exec, dfa, input, cs);
+                    let last = meta.num_records.saturating_sub(1);
+                    let mut skip: Vec<u64> = vec![0, 2, 3, 7, last];
+                    skip.retain(|&r| r < meta.num_records);
+                    skip.sort_unstable();
+                    skip.dedup();
+                    let identity = [Some(0), Some(1), Some(2)];
+                    let sparse = [Some(0), None, Some(1)];
+                    for mode in modes {
+                        let plain = TagConfig {
+                            mode,
+                            col_map: &identity,
+                            skip_records: &[],
+                            expected_columns: None,
+                            num_out_rows: meta.num_records,
+                            diags: None,
+                        };
+                        let skipping = TagConfig {
+                            col_map: &sparse,
+                            skip_records: &skip,
+                            expected_columns: Some(3),
+                            num_out_rows: meta.num_records - skip.len() as u64,
+                            ..plain
+                        };
+                        for cfg in [plain, skipping] {
+                            let sink = DiagSink::new(usize::MAX);
+                            let cfg = TagConfig {
+                                diags: Some(&sink),
+                                ..cfg
                             };
-                            let skipping = TagConfig {
-                                col_map: &sparse,
-                                skip_records: &skip,
-                                expected_columns: Some(3),
-                                num_out_rows: meta.num_records - skip.len() as u64,
-                                ..plain
-                            };
-                            for cfg in [plain, skipping] {
-                                let sink = DiagSink::new(usize::MAX);
-                                let cfg = TagConfig {
-                                    diags: Some(&sink),
-                                    ..cfg
-                                };
-                                let at = format!(
-                                    "{lm:?} w={workers} dfa={d} input={k} cs={cs} {} skip={:?}",
-                                    mode.name(),
-                                    cfg.skip_records
-                                );
-                                let want = reference(input, cs, &meta, &cfg);
-                                let got = tag_symbols(&exec, input, cs, &meta, &cfg).unwrap();
-                                assert_eq!(got.symbols, want.symbols, "{at}");
-                                assert_eq!(merged(&got.runs), fields_of(&want.runs), "{at}");
-                                let num_cols = cfg.col_map.iter().flatten().count();
-                                let per_chunk = TagConfig { diags: None, ..cfg };
-                                let per_chunk =
-                                    tag_symbols(&exec, input, cs, &chunk_meta, &per_chunk).unwrap();
-                                assert_eq!(
-                                    runs_per_col(&per_chunk.runs, num_cols),
-                                    want.col_chunk_runs(num_cols),
-                                    "{at}"
-                                );
-                                assert_eq!(got.rejected, want.rejected, "{at}");
-                                assert_eq!(got.terminator_clash, want.clash, "{at}");
-                                assert_eq!(sink.into_sorted(), want.diags, "{at}");
-                                splits += usize::from(got.runs.len() > want.runs.len());
-                                rejects += usize::from(got.rejected.count_ones() > 0);
-                                clashes += usize::from(got.terminator_clash);
-                            }
+                            let at = format!(
+                                "w={workers} dfa={d} input={k} cs={cs} {} skip={:?}",
+                                mode.name(),
+                                cfg.skip_records
+                            );
+                            let want = reference(input, cs, &meta, &cfg);
+                            let got = tag_symbols(&exec, input, cs, &meta, &cfg).unwrap();
+                            assert_eq!(got.symbols, want.symbols, "{at}");
+                            assert_eq!(merged(&got.runs), fields_of(&want.runs), "{at}");
+                            let num_cols = cfg.col_map.iter().flatten().count();
+                            let per_chunk = TagConfig { diags: None, ..cfg };
+                            let per_chunk =
+                                tag_symbols(&exec, input, cs, &chunk_meta, &per_chunk).unwrap();
+                            assert_eq!(
+                                runs_per_col(&per_chunk.runs, num_cols),
+                                want.col_chunk_runs(num_cols),
+                                "{at}"
+                            );
+                            assert_eq!(got.rejected, want.rejected, "{at}");
+                            assert_eq!(got.terminator_clash, want.clash, "{at}");
+                            assert_eq!(sink.into_sorted(), want.diags, "{at}");
+                            splits += usize::from(got.runs.len() > want.runs.len());
+                            rejects += usize::from(got.rejected.count_ones() > 0);
+                            clashes += usize::from(got.terminator_clash);
                         }
                     }
                 }
@@ -334,22 +332,17 @@ fn word_walk_matches_byte_reference() {
 }
 
 /// Tagging follows pass 2's worker ranges, not the grid it runs on: with
-/// pass 2 on three workers, tagging on one, two or eight workers, or on a
-/// spawn-per-launch grid, yields the same symbols, the same runs (split
+/// pass 2 on three workers, tagging on one, two, three or eight workers
+/// yields the same symbols, the same runs (split
 /// at the same three-range edges) and the same rejects.
 #[test]
 fn tagging_follows_pass2_ranges_on_any_grid() {
     let dfa = rfc4180_paper();
     let pass2 = KernelExecutor::new(Grid::new(3));
-    let taggers: Vec<KernelExecutor> = [
-        Grid::new(1),
-        Grid::new(2),
-        Grid::new(8),
-        Grid::with_mode(3, LaunchMode::SpawnPerLaunch),
-    ]
-    .into_iter()
-    .map(KernelExecutor::new)
-    .collect();
+    let taggers: Vec<KernelExecutor> = [Grid::new(1), Grid::new(2), Grid::new(8), Grid::new(3)]
+        .into_iter()
+        .map(KernelExecutor::new)
+        .collect();
     let records: Vec<u8> = (0..60)
         .flat_map(|i| format!("{i},\"a, \"\"b\"\"\n{i}\",{}\n", "x".repeat(i * 3)).into_bytes())
         .collect();
@@ -378,10 +371,9 @@ fn tagging_follows_pass2_ranges_on_any_grid() {
                 rejects += usize::from(want.rejected.count_ones() > 0);
                 for exec in &taggers {
                     let at = format!(
-                        "input={k} cs={cs} {} on {} workers {:?}",
+                        "input={k} cs={cs} {} on {} workers",
                         mode.name(),
-                        exec.grid().workers(),
-                        exec.grid().mode()
+                        exec.grid().workers()
                     );
                     let got = tag_symbols(exec, input, cs, &meta, &cfg).unwrap();
                     assert_eq!(got.symbols, want.symbols, "{at}");

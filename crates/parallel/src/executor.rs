@@ -19,18 +19,18 @@
 //! caught and converted into a structured [`LaunchError`] carrying the
 //! panicking worker id, its chunk range, and the original panic payload
 //! text — they never abort the process. A [`RetryPolicy`] re-runs failed
-//! launches up to a configurable attempt count, degrading from the
-//! persistent pool to a fresh [`LaunchMode::SpawnPerLaunch`] grid after
-//! `degrade_after` failures (a wedged pool thread can't fail the same
-//! launch twice). A deterministic, SplitMix64-seeded [`FaultInjector`]
-//! can fail a configurable fraction of launches *before* the job body
-//! runs, so retried launches are byte-identical to clean ones — that is
-//! what the fault-injection tests lean on. Attempts, degradations and
-//! injected faults are recorded on each [`LaunchRecord`] so phase
+//! launches up to a configurable attempt count. The first attempt runs on
+//! the executor's grid; every retry runs on a second, lazily built grid
+//! of the same width, whose pool threads are not the ones that failed. A
+//! deterministic, SplitMix64-seeded [`FaultInjector`] can fail a
+//! configurable fraction of launches *before* the job body runs, so
+//! retried launches are byte-identical to clean ones — that is what the
+//! fault-injection tests lean on. Attempts, retries on the fallback pool
+//! and injected faults are recorded on each [`LaunchRecord`] so phase
 //! timings can expose them.
 
 use crate::cancel::{CancelToken, LaunchAborted, LaunchSignal, Watchdog};
-use crate::grid::{partition, Grid, LaunchMode};
+use crate::grid::{partition, Grid};
 use crate::rng::SplitMix64;
 use std::any::Any;
 use std::collections::HashMap;
@@ -50,8 +50,7 @@ pub enum FailureKind {
     Injected,
     /// The watchdog expired the attempt's deadline and the kernel
     /// unwound at its next chunk-granularity poll. Timeouts are retried
-    /// like panics — the degraded spawn-per-launch grid may clear a
-    /// wedged pool.
+    /// like panics, on the executor's fresh fallback pool.
     Timeout {
         /// Wall milliseconds the attempt had run when it unwound (kept as
         /// millis, not `Duration`, so `LaunchError` stays a small `Err`
@@ -143,36 +142,26 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// How many times [`KernelExecutor::launch`] re-runs a failed launch and
-/// when it abandons the persistent pool for fresh spawned threads.
+/// How many times [`KernelExecutor::launch`] runs a failed launch.
+/// Attempts 2 and later run on the executor's fallback pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts per launch (clamped to at least 1). The default
     /// is 1: fail fast, surface the `LaunchError` to the caller.
     pub max_attempts: u32,
-    /// Number of failed attempts on the persistent pool after which the
-    /// remaining attempts run on a fallback
-    /// [`LaunchMode::SpawnPerLaunch`] grid (clamped to at least 1).
-    /// Irrelevant when the primary grid already spawns per launch.
-    pub degrade_after: u32,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            degrade_after: 1,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 }
 
 impl RetryPolicy {
-    /// A policy that retries up to `max_attempts` times total, degrading
-    /// to spawn-per-launch after the first failure.
+    /// A policy that runs a launch up to `max_attempts` times in total.
     pub fn attempts(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
-            degrade_after: 1,
         }
     }
 }
@@ -180,8 +169,8 @@ impl RetryPolicy {
 /// What a firing [`FaultInjector`] does to the launch attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultMode {
-    /// Fail the attempt before the job body runs (the PR-2 behaviour):
-    /// exercises the retry/degradation ladder.
+    /// Fail the attempt before the job body runs: exercises the retry
+    /// ladder.
     Panic,
     /// Sleep for the given duration *inside* the launch window, after
     /// the watchdog is armed but before the job body runs: exercises the
@@ -312,7 +301,7 @@ pub struct LaunchRecord {
     pub serial_ops: u64,
     /// Attempts this launch took (1 = succeeded first try).
     pub attempts: u32,
-    /// Whether any attempt ran on the degraded spawn-per-launch grid.
+    /// Whether any attempt ran on the fallback pool (a retry).
     pub degraded: bool,
     /// Faults the [`FaultInjector`] fired against this launch.
     pub injected_faults: u32,
@@ -344,8 +333,9 @@ impl LaunchRecord {
 #[derive(Debug)]
 pub struct KernelExecutor {
     grid: Grid,
-    /// Degraded-mode grid, created on first use: fresh spawned threads
-    /// per launch, immune to whatever wedged the persistent pool.
+    /// Grid that retries run on, created on first use: same width as
+    /// `grid`, with its own pool, so a retry runs on threads other than
+    /// the ones that failed. Dropped with the executor.
     fallback: OnceLock<Grid>,
     retry: RetryPolicy,
     fault: Option<FaultInjector>,
@@ -451,10 +441,9 @@ impl KernelExecutor {
         &self.arena
     }
 
-    /// The degraded-mode grid used after `degrade_after` failures.
+    /// The grid that attempts 2 and later run on.
     fn fallback_grid(&self) -> &Grid {
-        self.fallback
-            .get_or_init(|| Grid::with_mode(self.grid.workers(), LaunchMode::SpawnPerLaunch))
+        self.fallback.get_or_init(|| Grid::new(self.grid.workers()))
     }
 
     /// Run `job` as one instrumented, fault-isolated launch.
@@ -474,7 +463,6 @@ impl KernelExecutor {
         job: impl Fn(&Grid, &mut LaunchCounters) -> R,
     ) -> Result<R, LaunchError> {
         let max_attempts = self.retry.max_attempts.max(1);
-        let degrade_after = self.retry.degrade_after.max(1);
         if let Some(token) = &self.cancel {
             token.note_launch();
         }
@@ -506,7 +494,7 @@ impl KernelExecutor {
                 ));
                 break None;
             }
-            let grid = if attempts > degrade_after && self.grid.mode() == LaunchMode::Persistent {
+            let grid = if attempts > 1 {
                 degraded = true;
                 self.fallback_grid()
             } else {
@@ -956,24 +944,36 @@ mod tests {
     }
 
     #[test]
-    fn repeated_failure_degrades_to_spawn_per_launch() {
-        let exec = KernelExecutor::new(Grid::with_mode(2, LaunchMode::Persistent)).with_retry(
-            RetryPolicy {
-                max_attempts: 2,
-                degrade_after: 1,
-            },
-        );
-        // Fails on the persistent grid, succeeds once degraded — the
-        // job observes which grid it was handed.
+    fn retry_runs_on_a_fresh_pool() {
+        use std::thread::ThreadId;
+        let exec = KernelExecutor::new(Grid::new(2)).with_retry(RetryPolicy::attempts(2));
+        // Worker 1 panics on its first run; the retry must hand worker 1
+        // to a thread other than the one that failed.
+        let seen: Mutex<Vec<ThreadId>> = Mutex::new(Vec::new());
         let out = exec
-            .launch("test/degrade", 2, |grid, _| {
-                if grid.mode() == LaunchMode::Persistent {
-                    panic!("pool is wedged");
-                }
+            .launch("test/retry", 2, |grid, _| {
+                grid.run_partitioned(2, |w, _| {
+                    if w != 1 {
+                        return;
+                    }
+                    let first = {
+                        let mut seen = seen.lock().unwrap();
+                        seen.push(std::thread::current().id());
+                        seen.len() == 1
+                    };
+                    // The lock is released above, so the retry does not
+                    // trip over a poisoned mutex.
+                    if first {
+                        panic!("pool worker is wedged");
+                    }
+                });
                 "recovered"
             })
             .unwrap();
         assert_eq!(out, "recovered");
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 2);
+        assert_ne!(seen[0], seen[1], "the retry reused the failed thread");
         let log = exec.drain_log();
         assert!(log[0].degraded);
         assert_eq!(log[0].attempts, 2);
@@ -1210,7 +1210,7 @@ mod tests {
     #[test]
     fn stall_injection_is_deterministic_and_watchdog_recovers_it() {
         // The deadline sits far above an unstalled 512-item launch, even
-        // a spawn-per-launch one on a loaded host, and far below the
+        // on a loaded host, and far below the
         // stall: only the injected stalls may time out, so the count is a
         // function of the seed alone.
         let run = |seed: u64| {

@@ -10,27 +10,16 @@
 //!
 //! Workers live in a persistent [`WorkerPool`] created lazily on the first
 //! parallel launch and shared by every clone of the grid — the CPU
-//! equivalent of keeping the CUDA context alive between kernels. The
-//! legacy behaviour of spawning fresh OS threads on every launch is kept
-//! behind [`LaunchMode::SpawnPerLaunch`] as a measurable baseline.
+//! equivalent of keeping the CUDA context alive between kernels. This is
+//! the one dispatch path: a one-worker grid runs inline, every wider
+//! launch goes through the pool.
 
 use crate::cancel::LaunchSignal;
 use crate::pool::{WorkerPool, NO_PANIC};
-use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// How a [`Grid`] obtains its worker threads for a launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaunchMode {
-    /// Dispatch onto a persistent pool of parked workers (the default).
-    Persistent,
-    /// Spawn fresh scoped OS threads on every launch — the pre-executor
-    /// behaviour, kept as a microbenchmark baseline.
-    SpawnPerLaunch,
-}
 
 /// A fixed-width pool descriptor for running chunk-indexed jobs.
 ///
@@ -40,15 +29,14 @@ pub enum LaunchMode {
 /// the same ergonomics a GPU kernel gets by capturing device pointers.
 /// The worker → chunk-range assignment is a pure function of `(n,
 /// workers)` (see [`partition`]), so results are bit-identical for any
-/// worker count and either launch mode.
+/// worker count.
 #[derive(Clone)]
 pub struct Grid {
     workers: usize,
-    mode: LaunchMode,
     pool: Arc<OnceLock<WorkerPool>>,
     /// Worker id of the most recent panicking launch participant on the
-    /// spawn/inline paths (`NO_PANIC` when none); the persistent-pool
-    /// path records into the pool's own slot. Shared across clones,
+    /// inline path (`NO_PANIC` when none); the pool records into its own
+    /// slot. Shared across clones,
     /// best-effort under concurrency — a diagnostic, not a correctness
     /// channel.
     last_panic: Arc<AtomicUsize>,
@@ -62,23 +50,16 @@ impl std::fmt::Debug for Grid {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Grid")
             .field("workers", &self.workers)
-            .field("mode", &self.mode)
             .finish()
     }
 }
 
 impl Grid {
-    /// Create a grid with `workers` OS threads using the process-wide
-    /// [`default_launch_mode`]. `workers` is clamped to at least 1.
+    /// Create a grid with `workers` OS threads (clamped to at least 1).
+    /// Its pool is built on the first parallel launch.
     pub fn new(workers: usize) -> Self {
-        Grid::with_mode(workers, default_launch_mode())
-    }
-
-    /// Create a grid with an explicit [`LaunchMode`].
-    pub fn with_mode(workers: usize, mode: LaunchMode) -> Self {
         Grid {
             workers: workers.max(1),
-            mode,
             pool: Arc::new(OnceLock::new()),
             last_panic: Arc::new(AtomicUsize::new(NO_PANIC)),
             signal: None,
@@ -126,11 +107,6 @@ impl Grid {
     /// Number of worker threads this grid uses.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The launch mode this grid uses.
-    pub fn mode(&self) -> LaunchMode {
-        self.mode
     }
 
     /// Worker id of the most recent panicking launch participant,
@@ -189,43 +165,9 @@ impl Grid {
             }
             return;
         }
-        match self.mode {
-            LaunchMode::Persistent => {
-                let parts = &parts;
-                self.pool()
-                    .dispatch(parts.len(), &|w| f(w, parts[w].clone()));
-            }
-            LaunchMode::SpawnPerLaunch => {
-                self.spawn_all(parts.len(), |w| f(w, parts[w].clone()));
-            }
-        }
-    }
-
-    /// Spawn-per-launch dispatch: one fresh scoped thread per worker id.
-    ///
-    /// Threads are joined explicitly (rather than letting the scope do
-    /// it) so the *first* panic's original payload is re-raised on the
-    /// caller and the panicking worker id is recorded — `thread::scope`
-    /// would otherwise swallow the payload behind its own generic panic.
-    fn spawn_all(&self, parts: usize, f: impl Fn(usize) + Sync) {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..parts)
-                .map(|w| {
-                    let f = &f;
-                    (w, s.spawn(move || f(w)))
-                })
-                .collect();
-            let mut first: Option<(usize, Box<dyn Any + Send>)> = None;
-            for (w, h) in handles {
-                if let Err(payload) = h.join() {
-                    first.get_or_insert((w, payload));
-                }
-            }
-            if let Some((w, payload)) = first {
-                self.note_panic(w);
-                resume_unwind(payload);
-            }
-        });
+        let parts = &parts;
+        self.pool()
+            .dispatch(parts.len(), &|w| f(w, parts[w].clone()));
     }
 
     /// Run `f(i)` for every `i in 0..n`, dynamically load balanced.
@@ -262,10 +204,7 @@ impl Grid {
                 f(i);
             }
         };
-        match self.mode {
-            LaunchMode::Persistent => self.pool().dispatch(self.workers, &drain),
-            LaunchMode::SpawnPerLaunch => self.spawn_all(self.workers, drain),
-        }
+        self.pool().dispatch(self.workers, &drain);
     }
 
     /// Map every index `0..n` to a value, returning the results in index
@@ -295,28 +234,6 @@ impl Grid {
 impl Default for Grid {
     fn default() -> Self {
         Grid::auto()
-    }
-}
-
-/// The process-wide default [`LaunchMode`], read once from the
-/// `PARPARAW_LAUNCH_MODE` environment variable (`spawn` /
-/// `spawn-per-launch` select [`LaunchMode::SpawnPerLaunch`]; anything
-/// else, including unset, selects [`LaunchMode::Persistent`]).
-///
-/// CI uses this to run the whole test suite against the spawn-per-launch
-/// fallback path without code changes.
-pub fn default_launch_mode() -> LaunchMode {
-    static MODE: OnceLock<LaunchMode> = OnceLock::new();
-    *MODE.get_or_init(|| mode_from_env(std::env::var("PARPARAW_LAUNCH_MODE").ok().as_deref()))
-}
-
-/// Pure mapping from the `PARPARAW_LAUNCH_MODE` value to a launch mode.
-fn mode_from_env(value: Option<&str>) -> LaunchMode {
-    match value {
-        Some("spawn") | Some("spawn-per-launch") | Some("spawn_per_launch") => {
-            LaunchMode::SpawnPerLaunch
-        }
-        _ => LaunchMode::Persistent,
     }
 }
 
@@ -455,16 +372,9 @@ mod tests {
             let want: Vec<_> = (0..100).map(|i| i * 3).collect();
             assert_eq!(got, want);
         }
-    }
-
-    #[test]
-    fn both_modes_agree() {
-        for mode in [LaunchMode::Persistent, LaunchMode::SpawnPerLaunch] {
-            let grid = Grid::with_mode(4, mode);
-            let got = grid.map_indexed(1000, |i| i as u64 * 7);
-            let want: Vec<u64> = (0..1000).map(|i| i * 7).collect();
-            assert_eq!(got, want, "mode {mode:?}");
-        }
+        let got = Grid::new(4).map_indexed(1000, |i| i as u64 * 7);
+        let want: Vec<u64> = (0..1000).map(|i| i * 7).collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -519,12 +429,12 @@ mod tests {
     }
 
     #[test]
-    fn spawn_mode_preserves_panic_payload_and_worker() {
-        let grid = Grid::with_mode(4, LaunchMode::SpawnPerLaunch);
+    fn persistent_mode_reports_panicking_worker() {
+        let grid = Grid::new(3);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            grid.run_partitioned(100, |w, _| {
-                if w == 2 {
-                    panic!("spawn worker {w} failed");
+            grid.run_partitioned(99, |w, _| {
+                if w == 1 {
+                    panic!("pool worker {w} down");
                 }
             });
         }));
@@ -532,34 +442,9 @@ mod tests {
         let msg = payload
             .downcast_ref::<String>()
             .expect("payload is the original formatted message");
-        assert_eq!(msg, "spawn worker 2 failed");
-        assert_eq!(grid.take_last_panic_worker(), Some(2));
-        assert_eq!(grid.take_last_panic_worker(), None);
-    }
-
-    #[test]
-    fn persistent_mode_reports_panicking_worker() {
-        let grid = Grid::with_mode(3, LaunchMode::Persistent);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            grid.run_partitioned(99, |w, _| {
-                if w == 1 {
-                    panic!("pool worker down");
-                }
-            });
-        }));
-        assert!(result.is_err());
+        assert_eq!(msg, "pool worker 1 down");
         assert_eq!(grid.take_last_panic_worker(), Some(1));
-    }
-
-    #[test]
-    fn env_mode_parsing() {
-        assert_eq!(mode_from_env(None), LaunchMode::Persistent);
-        assert_eq!(mode_from_env(Some("persistent")), LaunchMode::Persistent);
-        assert_eq!(mode_from_env(Some("spawn")), LaunchMode::SpawnPerLaunch);
-        assert_eq!(
-            mode_from_env(Some("spawn-per-launch")),
-            LaunchMode::SpawnPerLaunch
-        );
+        assert_eq!(grid.take_last_panic_worker(), None);
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub use executor::{
     BufferArena, FailureKind, FaultInjector, FaultMode, KernelExecutor, LaunchCounters,
     LaunchError, LaunchRecord, RetryPolicy,
 };
-pub use grid::{default_launch_mode, Grid, LaunchMode};
+pub use grid::Grid;
 pub use rng::SplitMix64;
 pub use scan::ScanOp;

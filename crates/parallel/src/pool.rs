@@ -1,10 +1,12 @@
 //! A persistent worker pool: parked OS threads reused across launches.
 //!
 //! The GPU keeps its execution resources initialised between kernel
-//! launches; spawning fresh OS threads per launch — what this crate did
-//! originally — is the CPU equivalent of re-creating the CUDA context for
-//! every kernel. The pool parks `width - 1` workers on a condition
-//! variable and wakes them per launch; the calling thread always
+//! launches; spawning fresh OS threads per launch would be the CPU
+//! equivalent of re-creating the CUDA context for every kernel. The pool
+//! is the only way a [`crate::grid::Grid`] runs a launch wider than one
+//! worker; the executor's retries run on a second pool of the same width
+//! (see [`crate::executor`]). The pool parks `width - 1` workers on a
+//! condition variable and wakes them per launch; the calling thread always
 //! participates as worker 0, so a launch of `parts == 1` never touches
 //! the pool at all.
 //!

@@ -162,43 +162,35 @@ fn matrix_streaming_matches_monolithic() {
 fn partition_kernels_byte_identical_across_modes_and_launch_modes() {
     // The run-scatter kernel must reproduce the radix sort's ParseOutput
     // exactly — same table bytes, same reject bitmap — for every
-    // generator, all three tagging modes, and both launch modes.
-    use parparaw::parallel::LaunchMode;
+    // generator and all three tagging modes, on a 3-worker pool.
     for (name, input, consistent) in generators() {
         for mode in modes() {
             if !consistent && !matches!(mode, TaggingMode::RecordTagged) {
                 continue;
             }
-            for lm in [LaunchMode::Persistent, LaunchMode::SpawnPerLaunch] {
-                let base = ParserOptions {
-                    grid: Grid::with_mode(3, lm),
-                    tagging: mode,
-                    ..ParserOptions::default()
-                }
-                .chunk_size(29);
-                let dfa = rfc4180(&CsvDialect::default());
-                let scatter = Parser::new(
-                    dfa.clone(),
-                    base.clone().partition_kernel(PartitionKernel::RunScatter),
-                )
-                .parse(&input)
-                .unwrap_or_else(|e| panic!("{name} mode={} {lm:?}: {e}", mode.name()));
-                let radix = Parser::new(dfa, base.partition_kernel(PartitionKernel::RadixSort))
-                    .parse(&input)
-                    .unwrap_or_else(|e| panic!("{name} mode={} {lm:?}: {e}", mode.name()));
-                assert_eq!(
-                    scatter.table,
-                    radix.table,
-                    "{name} mode={} {lm:?}",
-                    mode.name()
-                );
-                assert_eq!(
-                    scatter.rejected,
-                    radix.rejected,
-                    "{name} mode={} {lm:?}",
-                    mode.name()
-                );
+            let base = ParserOptions {
+                grid: Grid::new(3),
+                tagging: mode,
+                ..ParserOptions::default()
             }
+            .chunk_size(29);
+            let dfa = rfc4180(&CsvDialect::default());
+            let scatter = Parser::new(
+                dfa.clone(),
+                base.clone().partition_kernel(PartitionKernel::RunScatter),
+            )
+            .parse(&input)
+            .unwrap_or_else(|e| panic!("{name} mode={}: {e}", mode.name()));
+            let radix = Parser::new(dfa, base.partition_kernel(PartitionKernel::RadixSort))
+                .parse(&input)
+                .unwrap_or_else(|e| panic!("{name} mode={}: {e}", mode.name()));
+            assert_eq!(scatter.table, radix.table, "{name} mode={}", mode.name());
+            assert_eq!(
+                scatter.rejected,
+                radix.rejected,
+                "{name} mode={}",
+                mode.name()
+            );
         }
     }
 }

@@ -252,8 +252,8 @@ fn stall_past_every_deadline_times_out_every_entry_point() {
 #[test]
 fn stall_matrix_from_env_recovers() {
     use std::time::Duration;
-    // CI drives this with PARPARAW_STALL_RATE (and PARPARAW_LAUNCH_MODE
-    // picked up by Grid); locally it runs at a light default rate.
+    // CI drives this with PARPARAW_STALL_RATE; locally it runs at a
+    // light default rate. Retries run on the executor's fresh pool.
     let rate: f64 = std::env::var("PARPARAW_STALL_RATE")
         .ok()
         .and_then(|v| v.parse().ok())

@@ -189,6 +189,27 @@ fn skip_records_are_stream_global() {
 }
 
 #[test]
+fn resume_clamps_a_checkpoint_partition_size_past_the_input() {
+    // `Checkpoint`'s fields are public, so a caller may hand back any
+    // partition size: the resumed stream must read one window to the end
+    // of the input, not overflow the window end.
+    let input = csv_rows(200, false, None);
+    let p = csv_parser(opts());
+    let clean = p.parse_stream(&input, 64).unwrap().table;
+    let mut it = p.partitions(&input, 64);
+    let mut tables: Vec<Table> = it.by_ref().take(3).map(Result::unwrap).collect();
+    let mut checkpoint = it.checkpoint().clone();
+    assert!(checkpoint.rows_emitted > 0);
+    assert!(checkpoint.resume_offset < input.len() as u64);
+    checkpoint.partition_size = usize::MAX;
+    let resumed = p
+        .parse_stream_resumable(&input, 64, Some(checkpoint))
+        .unwrap();
+    tables.push(resumed.table);
+    assert_eq!(concat(tables), clean);
+}
+
+#[test]
 fn output_names_follow_one_rule_on_every_entry_point() {
     let input = csv_rows(40, true, None);
     let names =
