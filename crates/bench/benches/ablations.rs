@@ -10,7 +10,7 @@
 
 use parparaw_bench::{arg_flag, bench_ms, report};
 use parparaw_dfa::csv::rfc4180_paper;
-use parparaw_dfa::{Mfira, PairTable, SwarMatcher};
+use parparaw_dfa::{LaneWalk, Mfira, PairTable, SwarMatcher};
 use parparaw_parallel::executor::BufferArena;
 use parparaw_parallel::lookback::exclusive_scan_lookback;
 use parparaw_parallel::scan::{exclusive_scan, exclusive_scan_seq, AddOp};
@@ -133,24 +133,21 @@ fn main() {
                 .fold(0u64, u64::wrapping_add)
         }),
     );
-    push(
-        "pass1_kernel",
-        "fast_lane",
-        bench_ms(5, || {
-            yelp.chunks(cs)
-                .map(|c| dfa.transition_vector_fast(c, None).0.packed())
-                .fold(0u64, u64::wrapping_add)
-        }),
-    );
-    push(
-        "pass1_kernel",
-        "fast_lane_pair_table",
-        bench_ms(5, || {
-            yelp.chunks(cs)
-                .map(|c| dfa.transition_vector_fast(c, Some(&pt)).0.packed())
-                .fold(0u64, u64::wrapping_add)
-        }),
-    );
+    for (variant, pair) in [("fast_lane", None), ("fast_lane_pair_table", Some(&pt))] {
+        push(
+            "pass1_kernel",
+            variant,
+            bench_ms(5, || {
+                yelp.chunks(cs)
+                    .map(|c| {
+                        let mut walk = LaneWalk::new(&dfa, pair);
+                        walk.step(c, 0, c.len());
+                        walk.vector().packed()
+                    })
+                    .fold(0u64, u64::wrapping_add)
+            }),
+        );
+    }
 
     // Radix digit count: one pass vs four.
     let grid3 = Grid::new(2);

@@ -33,10 +33,11 @@
 //!
 //! The chunk (`chunk_size`, 31 B by default) stays the unit of abort
 //! polling: every piece polls once per chunk. The launches charge the
-//! paper's per-chunk traffic, and its lane count ([`Dfa::fast_lane_ops`]
-//! over every chunk, as [`Dfa::transition_vector_fast`] counts it) exactly
-//! when every range is one chunk: the paper's grid, which
-//! [`Parser::model`](crate::Parser::model) runs (see [`crate::model`]).
+//! paper's per-chunk traffic, and its lane count exactly when every range
+//! is one chunk: the paper's grid, where every chunk walks its own
+//! [`LaneWalk`] ([`LaneWalk::chunk_lane_ops`] summed over the chunks), and
+//! which [`Parser::model`](crate::Parser::model) runs (see
+//! [`crate::model`]).
 //!
 //! This is the only pass-1 kernel: [`determine_contexts_fast`], the
 //! per-chunk pass 1 that tests and benches compare against, runs it on one
@@ -261,7 +262,7 @@ pub fn range_start_states(
         counters.bytes_read = n as u64;
         counters.bytes_written = (n_chunks * 8) as u64;
         if ranges.len() == n_chunks {
-            counters.parallel_ops = per_chunk_lane_ops(grid, dfa, input, cs, pair.is_some());
+            counters.parallel_ops = per_chunk_lane_ops(grid, dfa, pair, input, cs);
         }
         let mut walks: Vec<Option<Piece>> = vec![None; pieces.len()];
         {
@@ -318,16 +319,22 @@ pub fn range_start_states(
     })
 }
 
-/// Σ [`Dfa::fast_lane_ops`] over every chunk: the lane count of the
-/// paper's per-chunk [`Dfa::transition_vector_fast`], summed on `grid`.
-fn per_chunk_lane_ops(grid: &Grid, dfa: &Dfa, input: &[u8], cs: usize, pair: bool) -> u64 {
+/// Σ [`LaneWalk::chunk_lane_ops`] over every chunk: the lane count of the
+/// paper's pass 1, one walk per chunk, summed on `grid`.
+fn per_chunk_lane_ops(
+    grid: &Grid,
+    dfa: &Dfa,
+    pair: Option<&PairTable>,
+    input: &[u8],
+    cs: usize,
+) -> u64 {
     let n = input.len();
     let total = AtomicU64::new(0);
     grid.run_partitioned(num_chunks(n, cs), |_, chunks| {
         let ops: u64 = chunks
             .map(|c| {
                 grid.check_abort(c);
-                dfa.fast_lane_ops(&input[c * cs..((c + 1) * cs).min(n)], pair)
+                LaneWalk::chunk_lane_ops(dfa, pair, &input[c * cs..((c + 1) * cs).min(n)])
             })
             .sum();
         total.fetch_add(ops, Ordering::Relaxed);

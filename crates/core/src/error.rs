@@ -21,12 +21,6 @@ pub enum ParseError {
         /// Number of columns available.
         num_columns: usize,
     },
-    /// The whole input failed DFA validation (ended in a non-accepting
-    /// state) and the dialect does not recover.
-    InvalidInput {
-        /// Name of the DFA state the input ended in.
-        final_state: String,
-    },
     /// Inline-terminated or vector-delimited tagging was requested but the
     /// input has an inconsistent number of columns per record.
     InconsistentColumns {
@@ -46,6 +40,15 @@ pub enum ParseError {
     /// unpruned bytes), so applying them per partition would silently
     /// corrupt the output. Prune rows before streaming instead.
     SkipRowsInStreaming,
+    /// A resumed stream's [`Checkpoint`](crate::streaming::Checkpoint)
+    /// starts past the end of the input it was handed, so it cannot be a
+    /// checkpoint of that input.
+    ResumePastInput {
+        /// The checkpoint's `resume_offset`.
+        resume_offset: u64,
+        /// Length of the input in bytes.
+        input_len: u64,
+    },
     /// A kernel launch failed (worker panic or injected fault) and
     /// exhausted its retry budget.
     Launch(LaunchError),
@@ -100,12 +103,6 @@ impl std::fmt::Display for ParseError {
                 f,
                 "selected column {index} out of range (input has {num_columns} columns)"
             ),
-            ParseError::InvalidInput { final_state } => {
-                write!(
-                    f,
-                    "input is not valid for the format (ended in state {final_state})"
-                )
-            }
             ParseError::InconsistentColumns { min, max } => write!(
                 f,
                 "tagging mode requires a constant column count, observed {min}..{max}"
@@ -118,6 +115,14 @@ impl std::fmt::Display for ParseError {
                 f,
                 "skip_rows indexes rows of the whole input and is not \
                  supported when parsing streaming partitions"
+            ),
+            ParseError::ResumePastInput {
+                resume_offset,
+                input_len,
+            } => write!(
+                f,
+                "checkpoint resumes at byte {resume_offset}, past the end of \
+                 the {input_len}-byte input"
             ),
             ParseError::Launch(e) => write!(f, "kernel launch failed: {e}"),
             ParseError::MalformedRecord(d) => write!(f, "malformed record: {d}"),
@@ -160,6 +165,12 @@ mod tests {
         assert!(ParseError::SkipRowsInStreaming
             .to_string()
             .contains("skip_rows"));
+        let e = ParseError::ResumePastInput {
+            resume_offset: 11,
+            input_len: 7,
+        };
+        assert!(e.to_string().contains("byte 11"));
+        assert!(e.to_string().contains("7-byte"));
         let e = ParseError::TooManyRejects {
             rejects: 10,
             max_rejects: 4,

@@ -7,12 +7,13 @@
 //! pipeline as [`Parser::parse`] and [`Parser::parse_stream`] on the
 //! paper's grid instead, where every 31 B chunk is one thread (§3.1–3.2):
 //! one pass-1 and pass-2 range per chunk. The kernels are the parse's, and
-//! they charge what that grid does. Pass 1 charges
-//! [`Dfa::fast_lane_ops`](parparaw_dfa::Dfa::fast_lane_ops) summed over
-//! every chunk, because every range is one chunk; tagging emits the
-//! per-chunk field runs, and the `tag`, `partition` and `convert/index`
-//! counters charge them. The choice of ranges is the only switch.
-//! Replayed through the configured device
+//! they charge what that grid does. Pass 1 walks one
+//! [`LaneWalk`](parparaw_dfa::LaneWalk) per chunk, the same kernel the
+//! host walks over its worker pieces, and charges
+//! [`LaneWalk::chunk_lane_ops`](parparaw_dfa::LaneWalk::chunk_lane_ops)
+//! summed over the chunks; tagging emits the per-chunk field runs, and the
+//! `tag`, `partition` and `convert/index` counters charge them. The choice
+//! of ranges is the only switch. Replayed through the configured device
 //! ([`ParserOptions::device`](crate::ParserOptions::device)), these
 //! profiles give the paper-reproduction series of Figs 9–13; they are not
 //! a measurement of this host.
@@ -136,7 +137,7 @@ mod tests {
     use crate::partition::partition_by_column_with;
     use crate::tagging::{tag_symbols, TagConfig, RUN_BYTES};
     use parparaw_dfa::csv::{rfc4180, CsvDialect};
-    use parparaw_dfa::Dfa;
+    use parparaw_dfa::{Dfa, LaneWalk};
     use parparaw_parallel::{grid, Grid, KernelExecutor};
 
     fn input() -> Vec<u8> {
@@ -145,17 +146,16 @@ mod tests {
             .collect()
     }
 
-    /// The paper's pass 1, chunk by chunk: every chunk's start state, and
-    /// the lane count of [`Dfa::transition_vector_fast`] summed over the
-    /// chunks.
+    /// The paper's pass 1, chunk by chunk: every chunk's start state from
+    /// the step-wise vector, and the lane count of one [`LaneWalk`] per
+    /// chunk summed over the chunks.
     fn per_chunk_pass1(dfa: &Dfa, input: &[u8], cs: usize) -> (Vec<u8>, u64) {
         let mut state = dfa.start_state();
         let (mut starts, mut ops) = (Vec::new(), 0);
         for chunk in input.chunks(cs) {
             starts.push(state);
-            let (vector, lane_ops) = dfa.transition_vector_fast(chunk, None);
-            state = vector.get(state);
-            ops += lane_ops;
+            state = dfa.transition_vector(chunk).get(state);
+            ops += LaneWalk::chunk_lane_ops(dfa, None, chunk);
         }
         (starts, ops)
     }

@@ -509,6 +509,13 @@ impl StreamCursor {
         if !self.parser.options().skip_rows.is_empty() {
             return Err(ParseError::SkipRowsInStreaming);
         }
+        // A caller-built checkpoint may start anywhere.
+        if self.state.resume_offset > input.len() as u64 {
+            return Err(ParseError::ResumePastInput {
+                resume_offset: self.state.resume_offset,
+                input_len: input.len() as u64,
+            });
+        }
         let width = self.batch_width();
         // Cut windows until one has a complete stream header: until then
         // every window is carried whole.

@@ -22,14 +22,11 @@
 //!   the loads in the collapsed loop. Optional and ablated; enabled via
 //!   `ParserOptions::pass1_pair_table` in `parparaw-core`.
 //!
-//! The fast kernel returns the lane-operation count it actually executed
-//! so the simulated-device cost replay sees the reduced work.
-//!
-//! [`Dfa::transition_vector_fast`] is the per-chunk kernel of the paper's
-//! model. The pipeline's host kernel is [`LaneWalk`], the same collapse
-//! run once over a whole range of consecutive chunks, and
-//! [`Dfa::fast_lane_ops`] reproduces the per-chunk kernel's count for
-//! each chunk without computing its vector.
+//! [`LaneWalk`] is the one implementation of the collapse. The host walks
+//! it over a whole range of consecutive chunks. The paper's grid walks it
+//! over one chunk per thread, and [`LaneWalk::chunk_lane_ops`] counts the
+//! lane operations such a walk executes, so the simulated-device cost
+//! replay sees the reduced work.
 
 use crate::dfa::Dfa;
 use crate::vector::StateVector;
@@ -121,167 +118,40 @@ impl PairTable {
 }
 
 /// The distinct states in `v`'s image when there are at most
-/// [`COLLAPSE_LANES`] of them: `(lanes, count)`, unused lanes duplicating
-/// the last live state so the unrolled loop needs no bounds logic.
+/// [`COLLAPSE_LANES`] of them: `(lanes, live, lane_of)`, unused lanes
+/// duplicating the last live state so the unrolled loop needs no bounds
+/// logic, and the lane of every entry of `v`, 4 bits per entry.
 #[inline]
-fn collapse_image(v: &StateVector) -> Option<([u8; COLLAPSE_LANES], usize)> {
+fn collapse_image(v: &StateVector) -> Option<([u8; COLLAPSE_LANES], usize, u64)> {
     let mut lanes = [0u8; COLLAPSE_LANES];
+    let mut lane_of = 0u64;
     let mut k = 0usize;
     for i in 0..v.num_states() {
         let s = v.get(i);
-        if !lanes[..k].contains(&s) {
-            if k == COLLAPSE_LANES {
-                return None;
+        let lane = match lanes[..k].iter().position(|&l| l == s) {
+            Some(lane) => lane,
+            None if k == COLLAPSE_LANES => return None,
+            None => {
+                lanes[k] = s;
+                k += 1;
+                k - 1
             }
-            lanes[k] = s;
-            k += 1;
-        }
+        };
+        lane_of |= (lane as u64) << (4 * i);
     }
     let k = k.max(1);
     let fill = lanes[k - 1];
     for lane in lanes.iter_mut().skip(k) {
         *lane = fill;
     }
-    Some((lanes, k))
-}
-
-impl Dfa {
-    /// Table-driven pass-1 kernel with convergence collapse: the fast
-    /// lane of [`Dfa::transition_vector`], bit-identical to it for every
-    /// input (the `fast_lane` test suite drives that equivalence).
-    ///
-    /// Returns the chunk's state-transition vector plus the number of
-    /// lane operations actually executed (row fetch + one op per live
-    /// lane per byte), which the pipeline reports to the device cost
-    /// model in place of the step-wise kernel's `|S|+1` per byte.
-    pub fn transition_vector_fast(
-        &self,
-        chunk: &[u8],
-        pair: Option<&PairTable>,
-    ) -> (StateVector, u64) {
-        let ns = self.num_states;
-        let full_width = ns as u64 + 1;
-        let mut v = StateVector::identity(ns);
-        let mut ops = 0u64;
-        let mut pos = 0usize;
-
-        // Warm-up at full width until the image collapses. Composition
-        // only ever shrinks the image, so a collapsed vector stays
-        // collapsed for the rest of the chunk.
-        let mut check_at = COLLAPSE_CHECK_AFTER;
-        let mut collapsed = collapse_image(&v);
-        while collapsed.is_none() && pos < chunk.len() {
-            let end = chunk.len().min(pos + check_at);
-            for &b in &chunk[pos..end] {
-                v.step_all(self.byte_row(b));
-            }
-            ops += (end - pos) as u64 * full_width;
-            pos = end;
-            check_at = (check_at * 2).min(COLLAPSE_RECHECK);
-            collapsed = collapse_image(&v);
-        }
-
-        let (lanes, live) = match collapsed {
-            Some(c) => c,
-            None => return (v, ops), // never collapsed; chunk fully simulated
-        };
-        if pos == chunk.len() {
-            return (v, ops);
-        }
-
-        // Collapsed loop: step only the live states, 3 unrolled lanes.
-        let [mut s0, mut s1, mut s2] = lanes;
-        let rest = &chunk[pos..];
-        let lane_width = live as u64 + 1;
-        match pair {
-            Some(pt) => {
-                let mut pairs = rest.chunks_exact(2);
-                for p in pairs.by_ref() {
-                    let row = pt.row(p[0], p[1]);
-                    s0 = Dfa::next_in_row(row, s0);
-                    s1 = Dfa::next_in_row(row, s1);
-                    s2 = Dfa::next_in_row(row, s2);
-                }
-                ops += (rest.len() / 2) as u64 * lane_width;
-                for &b in pairs.remainder() {
-                    let row = self.byte_row(b);
-                    s0 = Dfa::next_in_row(row, s0);
-                    s1 = Dfa::next_in_row(row, s1);
-                    s2 = Dfa::next_in_row(row, s2);
-                    ops += lane_width;
-                }
-            }
-            None => {
-                for &b in rest {
-                    let row = self.byte_row(b);
-                    s0 = Dfa::next_in_row(row, s0);
-                    s1 = Dfa::next_in_row(row, s1);
-                    s2 = Dfa::next_in_row(row, s2);
-                }
-                ops += rest.len() as u64 * lane_width;
-            }
-        }
-
-        // Remap: every full-width entry sat in one of the live lanes when
-        // the collapse happened; route it to that lane's final state.
-        let finals = [s0, s1, s2];
-        let mut out = v;
-        for i in 0..ns {
-            let mid = v.get(i);
-            // Invariant: collapse_image listed every distinct image state.
-            let lane = lanes[..live]
-                .iter()
-                .position(|&l| l == mid)
-                .expect("image state missing from collapse lanes");
-            out.set(i, finals[lane]);
-        }
-        ops += ns as u64;
-        (out, ops)
-    }
-
-    /// The lane-operation count [`Dfa::transition_vector_fast`] reports
-    /// for `chunk`, without computing the vector: the image of the
-    /// chunk-local vector is tracked as a state mask through the same
-    /// warm-up check points, and the collapsed loop's share follows in
-    /// closed form. The pipeline charges this per modelled chunk while
-    /// its host walk ([`LaneWalk`]) spans many chunks at once.
-    pub fn fast_lane_ops(&self, chunk: &[u8], pair: bool) -> u64 {
-        let ns = self.num_states;
-        let full_width = ns as u64 + 1;
-        let mut image: u16 = ((1u32 << ns) - 1) as u16;
-        let mut ops = 0u64;
-        let mut pos = 0usize;
-        let mut check_at = COLLAPSE_CHECK_AFTER;
-        while image.count_ones() as usize > COLLAPSE_LANES && pos < chunk.len() {
-            let end = chunk.len().min(pos + check_at);
-            for &b in &chunk[pos..end] {
-                let row = self.byte_row(b);
-                let mut rest = image;
-                image = 0;
-                while rest != 0 {
-                    image |= 1 << Dfa::next_in_row(row, rest.trailing_zeros() as u8);
-                    rest &= rest - 1;
-                }
-            }
-            ops += (end - pos) as u64 * full_width;
-            pos = end;
-            check_at = (check_at * 2).min(COLLAPSE_RECHECK);
-        }
-        let live = image.count_ones().max(1) as u64;
-        if live as usize > COLLAPSE_LANES || pos == chunk.len() {
-            return ops;
-        }
-        let rest = (chunk.len() - pos) as u64;
-        let steps = if pair { rest / 2 + rest % 2 } else { rest };
-        ops + steps * (live + 1) + ns as u64
-    }
+    Some((lanes, k, lane_of))
 }
 
 /// Pass 1 over a run of consecutive chunks in one walk: the vector is
 /// stepped at full width from the identity until its image collapses
-/// (checked at the cadence of [`Dfa::transition_vector_fast`], counted
-/// from the walk's start), then only the ≤ [`COLLAPSE_LANES`] live lanes
-/// are stepped for the rest of the run. Between [`LaneWalk::step`] calls
+/// (checked after 4, 12, 28, 60 bytes and then every 64, counted from the
+/// walk's start), then only the ≤ [`COLLAPSE_LANES`] live lanes are
+/// stepped for the rest of the run. Between [`LaneWalk::step`] calls
 /// the caller reads the walk's [`LaneWalk::image`] — one packed vector —
 /// at each chunk start, and resolves it to a state with
 /// [`LaneWalk::resolve`] once the state at the walk's start is known.
@@ -298,6 +168,8 @@ pub struct LaneWalk<'d> {
     /// The live lanes once collapsed: lane `l` holds the current state of
     /// every start state whose entry in `lane_of` is `l`.
     lanes: Option<[u8; COLLAPSE_LANES]>,
+    /// How many of the lanes are distinct states (valid once collapsed).
+    live: usize,
     /// Lane of each start state, 4 bits per state (valid once collapsed).
     lane_of: u64,
     /// Bytes stepped at full width, and where the next collapse check is.
@@ -314,28 +186,52 @@ impl<'d> LaneWalk<'d> {
             pair,
             vector: StateVector::identity(dfa.num_states()),
             lanes: None,
+            live: 0,
             lane_of: 0,
             pos: 0,
             next_check: COLLAPSE_CHECK_AFTER,
             check_step: COLLAPSE_CHECK_AFTER,
         };
-        walk.try_collapse();
+        // The identity's image is every state.
+        if dfa.num_states() as usize <= COLLAPSE_LANES {
+            walk.try_collapse();
+        }
         walk
     }
 
     fn try_collapse(&mut self) {
-        if let Some((lanes, live)) = collapse_image(&self.vector) {
-            for i in 0..self.vector.num_states() {
-                let mid = self.vector.get(i);
-                // Invariant: collapse_image listed every distinct image state.
-                let lane = lanes[..live]
-                    .iter()
-                    .position(|&l| l == mid)
-                    .expect("image state missing from collapse lanes");
-                self.lane_of |= (lane as u64) << (4 * i);
-            }
+        if let Some((lanes, live, lane_of)) = collapse_image(&self.vector) {
             self.lanes = Some(lanes);
+            self.live = live;
+            self.lane_of = lane_of;
         }
+    }
+
+    /// The lane operations a walk over `chunk` alone executes: a row
+    /// fetch plus one op per tracked state per step, i.e. `|S|+1` per byte
+    /// stepped at full width, then — once collapsed with bytes left —
+    /// `live+1` per collapsed step (a byte, or a byte pair with a
+    /// [`PairTable`]) plus `|S|` to remap the lanes into the vector. This
+    /// is the paper's per-chunk pass-1 count; the walk stops at the
+    /// collapse and the collapsed loop's share follows in closed form.
+    pub fn chunk_lane_ops(dfa: &'d Dfa, pair: Option<&'d PairTable>, chunk: &[u8]) -> u64 {
+        let ns = dfa.num_states() as u64;
+        let mut walk = LaneWalk::new(dfa, pair);
+        while !walk.is_collapsed() && walk.pos < chunk.len() {
+            let end = chunk.len().min(walk.next_check);
+            walk.step(chunk, walk.pos, end);
+        }
+        let full = walk.pos as u64 * (ns + 1);
+        let rest = (chunk.len() - walk.pos) as u64;
+        if !walk.is_collapsed() || rest == 0 {
+            return full;
+        }
+        let steps = if pair.is_some() {
+            rest / 2 + rest % 2
+        } else {
+            rest
+        };
+        full + steps * (walk.live as u64 + 1) + ns
     }
 
     /// Whether the walk steps collapsed lanes rather than the full vector.
@@ -470,30 +366,35 @@ mod tests {
         let input: &[u8] =
             b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
         for len in 0..input.len() {
-            let chunk = &input[..len];
-            let want = dfa.transition_vector(chunk);
-            let (got, _) = dfa.transition_vector_fast(chunk, None);
-            assert_eq!(got, want, "no pair table, len {len}");
-            let (got, _) = dfa.transition_vector_fast(chunk, Some(&pt));
-            assert_eq!(got, want, "pair table, len {len}");
+            let want = dfa.transition_vector(&input[..len]);
+            for pair in [None, Some(&pt)] {
+                let mut walk = LaneWalk::new(&dfa, pair);
+                walk.step(input, 0, len);
+                assert_eq!(walk.vector(), want, "pair {}, len {len}", pair.is_some());
+            }
         }
     }
 
     #[test]
-    fn lane_op_count_matches_the_fast_kernel() {
+    fn chunk_lane_ops_match_hand_counts_on_csv() {
+        // The paper CSV has 6 states and collapses to 3 live lanes at the
+        // first check (4 bytes): 7 ops per full-width byte, 4 per collapsed
+        // step, 6 for the remap.
         let dfa = rfc4180_paper();
+        assert_eq!(dfa.num_states(), 6);
         let pt = PairTable::build(&dfa);
-        let input: &[u8] =
-            b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
-        for lo in 0..8 {
-            for hi in lo..input.len() {
-                let chunk = &input[lo..hi];
-                for pair in [None, Some(&pt)] {
-                    let (_, ops) = dfa.transition_vector_fast(chunk, pair);
-                    assert_eq!(dfa.fast_lane_ops(chunk, pair.is_some()), ops, "{lo}..{hi}");
-                }
-            }
-        }
+        let row: &[u8] = b"1941,199.99,\"Bookcase\"\n1938,19.99,\"Frame\n\"\"Ribba\"\", black\"\n";
+        let bytes = |n: usize| row.iter().copied().cycle().take(n).collect::<Vec<u8>>();
+        let ops = |n: usize, pair| LaneWalk::chunk_lane_ops(&dfa, pair, &bytes(n));
+        assert_eq!(ops(0, None), 0);
+        assert_eq!(ops(3, None), 3 * 7);
+        // Collapsed at the end of the chunk: no collapsed step, no remap.
+        assert_eq!(ops(4, None), 4 * 7);
+        assert_eq!(ops(4, Some(&pt)), 4 * 7);
+        assert_eq!(ops(1024, None), 4 * 7 + 1020 * 4 + 6);
+        assert_eq!(ops(1024, Some(&pt)), 4 * 7 + 510 * 4 + 6);
+        // An odd remainder steps its last byte on its own.
+        assert_eq!(ops(1025, Some(&pt)), 4 * 7 + 511 * 4 + 6);
     }
 
     #[test]
@@ -531,7 +432,7 @@ mod tests {
     fn collapse_reduces_reported_ops() {
         let dfa = rfc4180_paper();
         let chunk = vec![b'x'; 1024];
-        let (_, fast_ops) = dfa.transition_vector_fast(&chunk, None);
+        let fast_ops = LaneWalk::chunk_lane_ops(&dfa, None, &chunk);
         let stepwise_ops = chunk.len() as u64 * (dfa.num_states() as u64 + 1);
         // 3 live lanes + row fetch vs 6 states + fetch per byte.
         assert!(
@@ -547,7 +448,7 @@ mod tests {
         let dfa = rfc4180_paper();
         let mut v = StateVector::identity(dfa.num_states());
         v.step_all(dfa.byte_row(b'x'));
-        let (lanes, live) = collapse_image(&v).expect("one data byte collapses CSV");
+        let (lanes, live, _) = collapse_image(&v).expect("one data byte collapses CSV");
         assert_eq!(live, 3, "lanes {lanes:?}");
     }
 }

@@ -17,7 +17,7 @@ use parparaw::core::meta::{
 use parparaw::core::options::ScanAlgorithm;
 use parparaw::dfa::csv::{rfc4180, CsvDialect};
 use parparaw::dfa::log::extended_log;
-use parparaw::dfa::{Dfa, DfaBuilder, Emit, PairTable};
+use parparaw::dfa::{Dfa, DfaBuilder, Emit, LaneWalk, PairTable};
 use parparaw::parallel::{Bitmap, Grid, KernelExecutor, ScanOp, SplitMix64};
 
 /// A random complete DFA: 2–8 states, 1–3 explicit symbol groups plus the
@@ -86,8 +86,12 @@ fn fast_lane_matches_stepwise_on_random_dfas() {
         let cs = rng.next_range(1, 130) as usize;
         for chunk in input.chunks(cs.min(input.len().max(1))) {
             let reference = dfa.transition_vector(chunk);
-            let (plain, _) = dfa.transition_vector_fast(chunk, None);
-            let (paired, _) = dfa.transition_vector_fast(chunk, Some(&pair));
+            let walk = |pair| {
+                let mut walk = LaneWalk::new(&dfa, pair);
+                walk.step(chunk, 0, chunk.len());
+                walk.vector()
+            };
+            let (plain, paired) = (walk(None), walk(Some(&pair)));
             assert_eq!(
                 plain.packed(),
                 reference.packed(),
@@ -274,9 +278,10 @@ struct ChunkMeta {
 }
 
 /// Everything passes 1 and 2 report, computed one modelled chunk at a
-/// time: `transition_vector_fast` per chunk and a sequential composition
-/// for the contexts, then a step-wise walk of each chunk from its own
-/// start state for the metadata, offsets and bitmaps.
+/// time: the step-wise `transition_vector` per chunk and a sequential
+/// composition for the contexts, [`reference_lane_ops`] per chunk for the
+/// pass-1 count, then a step-wise walk of each chunk from its own start
+/// state for the metadata, offsets and bitmaps.
 struct Reference {
     start_states: Vec<u8>,
     final_state: u8,
@@ -288,15 +293,40 @@ struct Reference {
     observed_columns_closed: Option<(u32, u32)>,
 }
 
+/// The lane operations of the paper's per-chunk pass 1 on `chunk`, from
+/// step-wise vectors of its prefixes: the image is checked after 0, 4, 12,
+/// 28, 60 and then every 64 bytes. Until the first check whose image has
+/// at most three states, every byte costs a row fetch plus one op per DFA
+/// state. After it, if bytes remain, every step (a byte, or a byte pair
+/// with the pair table) costs a row fetch plus one op per live state, and
+/// the remap one op per DFA state.
+fn reference_lane_ops(dfa: &Dfa, chunk: &[u8], pair: bool) -> u64 {
+    let ns = dfa.num_states() as u64;
+    let (mut at, mut gap) = (0usize, 4usize);
+    while at < chunk.len() {
+        let v = dfa.transition_vector(&chunk[..at]);
+        let mut image: Vec<u8> = (0..dfa.num_states()).map(|s| v.get(s)).collect();
+        image.sort_unstable();
+        image.dedup();
+        if image.len() <= 3 {
+            let rest = (chunk.len() - at) as u64;
+            let steps = if pair { rest.div_ceil(2) } else { rest };
+            return at as u64 * (ns + 1) + steps * (image.len() as u64 + 1) + ns;
+        }
+        at += gap;
+        gap = (gap * 2).min(64);
+    }
+    chunk.len() as u64 * (ns + 1)
+}
+
 fn per_chunk_reference(dfa: &Dfa, input: &[u8], cs: usize, pair: Option<&PairTable>) -> Reference {
     let mut start_states = Vec::new();
     let mut state = dfa.start_state();
     let mut pass1_ops = 0;
     for chunk in input.chunks(cs) {
         start_states.push(state);
-        let (vector, ops) = dfa.transition_vector_fast(chunk, pair);
-        pass1_ops += ops;
-        state = vector.get(state);
+        pass1_ops += reference_lane_ops(dfa, chunk, pair.is_some());
+        state = dfa.transition_vector(chunk).get(state);
     }
     let final_state = state;
 
@@ -506,7 +536,7 @@ fn worker_range_walks_match_per_chunk_reference() {
             }
             let full = dfa.num_states() as u64 + 1;
             if *name == "permutation" && len > 0 {
-                let (_, ops) = dfa.transition_vector_fast(&input, None);
+                let ops = LaneWalk::chunk_lane_ops(dfa, None, &input);
                 assert_eq!(ops, len as u64 * full, "{name} never collapses");
                 never_collapsed += 1;
             }

@@ -210,6 +210,43 @@ fn resume_clamps_a_checkpoint_partition_size_past_the_input() {
 }
 
 #[test]
+fn resume_rejects_a_checkpoint_offset_past_the_input() {
+    // A caller-built checkpoint past the end of the input is no
+    // checkpoint of it: the stream stops with a typed error before it
+    // cuts a window, and has completed nothing. One at the very end is
+    // valid and reads nothing.
+    let input = csv_rows(200, false, None);
+    let p = csv_parser(opts());
+    let mut it = p.partitions(&input, 64);
+    it.by_ref().take(3).for_each(|t| drop(t.unwrap()));
+    let checkpoint = it.checkpoint().clone();
+    let at = |resume_offset| Checkpoint {
+        resume_offset,
+        ..checkpoint.clone()
+    };
+    for resume_offset in [input.len() as u64 + 10, u64::MAX] {
+        let stopped = p
+            .parse_stream_resumable(&input, 64, Some(at(resume_offset)))
+            .unwrap_err();
+        assert_eq!(
+            stopped.error,
+            ParseError::ResumePastInput {
+                resume_offset,
+                input_len: input.len() as u64,
+            }
+        );
+        assert!(stopped.completed.partitions.is_empty());
+        assert_eq!(stopped.completed.table.num_rows(), 0);
+        assert_eq!(stopped.checkpoint, at(resume_offset));
+    }
+    let resumed = p
+        .parse_stream_resumable(&input, 64, Some(at(input.len() as u64)))
+        .unwrap();
+    assert_eq!(resumed.table.num_rows(), 0);
+    assert_eq!(resumed.partitions.len(), 1);
+}
+
+#[test]
 fn output_names_follow_one_rule_on_every_entry_point() {
     let input = csv_rows(40, true, None);
     let names =
